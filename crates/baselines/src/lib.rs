@@ -41,7 +41,7 @@ pub fn query_posting_lists(index: &GksIndex, query: &Query) -> Vec<Vec<DeweyId>>
     query
         .normalized(index.analyzer())
         .iter()
-        .map(|k| keyword_postings(index, k))
+        .map(|k| keyword_postings(index, k).into_owned())
         .collect()
 }
 

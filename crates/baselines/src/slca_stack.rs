@@ -26,7 +26,7 @@ pub fn slca_stack(lists: &[Vec<DeweyId>]) -> Vec<DeweyId> {
         return Vec::new();
     }
     let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-    let sl = merge_posting_lists(lists.to_vec());
+    let sl = merge_posting_lists(lists);
 
     let mut stack: Vec<Frame> = Vec::new();
     let mut out: Vec<DeweyId> = Vec::new();
@@ -73,7 +73,7 @@ pub fn slca_stack(lists: &[Vec<DeweyId>]) -> Vec<DeweyId> {
         }
     }
 
-    for (dewey, kw) in &sl {
+    for (dewey, kw) in sl.iter() {
         // Unwind frames that do not contain the new entry.
         while let Some(top) = stack.last() {
             if top.dewey.is_ancestor_or_self(dewey) {

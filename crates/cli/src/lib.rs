@@ -1274,8 +1274,10 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
-    fn tmpdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("gks-cli-{}", std::process::id()));
+    /// A scratch directory owned by one test: tests run in parallel and
+    /// each removes its own directory when done, so none may share one.
+    fn tmpdir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("gks-cli-{}-{test}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -1291,7 +1293,7 @@ mod tests {
 
     #[test]
     fn full_workflow_generate_index_search_suggest_info() {
-        let dir = tmpdir();
+        let dir = tmpdir("workflow");
         let xml = dir.join("dblp.xml");
         let ix = dir.join("dblp.gksix");
         let xml_s = xml.to_str().unwrap();
@@ -1347,8 +1349,7 @@ mod tests {
 
     #[test]
     fn schema_and_repl_over_a_real_index() {
-        let dir = tmpdir().join("schema-repl");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("schema-repl");
         let xml = dir.join("m.xml");
         let ix = dir.join("m.gksix");
         run(&args(&["generate", "mondial", "10", xml.to_str().unwrap()])).unwrap();
@@ -1374,8 +1375,7 @@ mod tests {
 
     #[test]
     fn json_output_matches_wire_format() {
-        let dir = tmpdir().join("json-out");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("json-out");
         let xml = dir.join("d.xml");
         let ix = dir.join("d.gksix");
         run(&args(&["generate", "dblp", "100", xml.to_str().unwrap()])).unwrap();
@@ -1401,8 +1401,7 @@ mod tests {
 
     #[test]
     fn sharded_index_builds_manifest_and_shard_files() {
-        let dir = tmpdir().join("sharded-index");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("sharded-index");
         let xml = dir.join("d.xml");
         run(&args(&["generate", "dblp", "120", xml.to_str().unwrap()])).unwrap();
         // Two documents so a 2-way document split is possible.
@@ -1445,7 +1444,7 @@ mod tests {
 
     #[test]
     fn directory_index_watch_and_compact_round_trip() {
-        let dir = tmpdir().join("watch-compact");
+        let dir = tmpdir("watch-compact");
         let corpus = dir.join("corpus");
         std::fs::create_dir_all(&corpus).unwrap();
         std::fs::write(corpus.join("a.xml"), "<r><x>alpha</x></r>").unwrap();
@@ -1527,8 +1526,7 @@ mod tests {
     fn watch_rejects_manifest_without_corpus_dir() {
         // A file-list manifest (classic `index --shards N` over .xml files)
         // records no corpus directory, so the update path refuses it.
-        let dir = tmpdir().join("watch-no-dir");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("watch-no-dir");
         let xml = dir.join("d.xml");
         run(&args(&["generate", "dblp", "60", xml.to_str().unwrap()])).unwrap();
         let xml2 = dir.join("d2.xml");

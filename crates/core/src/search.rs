@@ -19,7 +19,6 @@
 //!    document order.
 
 use gks_dewey::DeweyId;
-use gks_index::fasthash::{FastMap, FastSet};
 use gks_index::GksIndex;
 use gks_trace::{span, SpanKind};
 use serde::{Deserialize, Serialize};
@@ -291,7 +290,7 @@ pub fn search_masked(
 
     // 1.–2. Posting lists, merged into SL.
     let postings_span = span(SpanKind::Postings);
-    let lists: Vec<Vec<DeweyId>> = keywords
+    let lists: Vec<_> = keywords
         .iter()
         .map(|k| keyword_postings_counted(index, dead, k, &mut cost))
         .collect();
@@ -312,22 +311,12 @@ pub fn search_masked(
     trace.window_micros = sweep_span.elapsed_micros();
     trace.candidates = candidates.len();
 
-    // 4. LCE derivation.
-    let mut lce_of: FastMap<DeweyId, Option<DeweyId>> = FastMap::default();
-    let mut lce_set: FastSet<DeweyId> = FastSet::default();
-    for c in &candidates {
-        let lce = index.node_table().lowest_entity_ancestor_or_self(c);
-        if let Some(e) = &lce {
-            lce_set.insert(e.clone());
-        }
-        lce_of.insert(c.clone(), lce);
-    }
-
-    // 5. Exact statistics for candidates ∪ LCEs.
-    let mut stat_nodes: Vec<DeweyId> = candidates.clone();
-    stat_nodes.extend(lce_set.iter().cloned());
-    stat_nodes.sort_unstable();
-    stat_nodes.dedup();
+    // 4.–5. LCE derivation and exact statistics for candidates ∪ LCEs. The
+    // LCE of a candidate is a prefix of its key, found by depth; the
+    // statistics nodes are the sorted union, and everything below refers
+    // to them by position.
+    let StatNodes { nodes: stat_nodes, candidate_at, lce_at, is_lce } =
+        stat_nodes(index, candidates);
     let pre_sweep_micros = sweep_span.elapsed_micros();
     let (stats, advances) = sweep_counted(index, &sl, &stat_nodes, n);
     cost.sweep_advances = advances;
@@ -335,53 +324,38 @@ pub fn search_masked(
     gks_trace::annotate("sweep_advances", cost.sweep_advances);
     gks_trace::annotate("rank_candidates", cost.rank_candidates);
     trace.sweep_micros = sweep_span.elapsed_micros().saturating_sub(pre_sweep_micros);
-    trace.lce_nodes = lce_set.len();
+    trace.lce_nodes = is_lce.iter().filter(|&&l| l).count();
     drop(sweep_span);
     let rank_span = span(SpanKind::Rank);
-    let stat_by_node: FastMap<&DeweyId, usize> =
-        stat_nodes.iter().enumerate().map(|(i, d)| (d, i)).collect();
 
     // 6. Assemble hits.
+    let qualifies = |p: usize| stats[p].keyword_count() as usize >= s;
+    let hit = |p: usize, kind: HitKind| Hit {
+        node: stat_nodes[p].clone(),
+        kind,
+        keyword_mask: stats[p].mask,
+        keyword_count: stats[p].keyword_count(),
+        rank: stats[p].rank,
+    };
     let mut hits: Vec<Hit> = Vec::new();
-    let mut emitted: FastSet<DeweyId> = FastSet::default();
+    let mut emitted = vec![false; stat_nodes.len()];
     // Witnessed LCE nodes with enough keywords.
-    for e in &lce_set {
-        let st = &stats[stat_by_node[e]];
-        if st.witnessed && st.keyword_count() as usize >= s && emitted.insert(e.clone()) {
+    for p in (0..stat_nodes.len()).filter(|&p| is_lce[p]) {
+        if stats[p].witnessed && qualifies(p) {
+            emitted[p] = true;
             trace.witnessed_lce += 1;
-            hits.push(Hit {
-                node: e.clone(),
-                kind: HitKind::Lce,
-                keyword_mask: st.mask,
-                keyword_count: st.keyword_count(),
-                rank: st.rank,
-            });
+            hits.push(hit(p, HitKind::Lce));
         }
     }
     // Candidates whose LCE is absent or did not survive fall back to plain
     // LCP hits ("those nodes in LCP list for which no corresponding LCE node
     // exist", §4.2).
-    for c in &candidates {
-        let surviving_lce = match &lce_of[c] {
-            Some(e) => {
-                let st = &stats[stat_by_node[e]];
-                st.witnessed && st.keyword_count() as usize >= s
-            }
-            None => false,
-        };
-        if surviving_lce {
-            continue;
-        }
-        let st = &stats[stat_by_node[c]];
-        if st.keyword_count() as usize >= s && emitted.insert(c.clone()) {
+    for (&p, lce) in candidate_at.iter().zip(&lce_at) {
+        let surviving_lce = lce.is_some_and(|e| stats[e].witnessed && qualifies(e));
+        if !surviving_lce && qualifies(p) && !emitted[p] {
+            emitted[p] = true;
             trace.orphan_lcp += 1;
-            hits.push(Hit {
-                node: c.clone(),
-                kind: HitKind::Lcp,
-                keyword_mask: st.mask,
-                keyword_count: st.keyword_count(),
-                rank: st.rank,
-            });
+            hits.push(hit(p, HitKind::Lcp));
         }
     }
 
@@ -397,13 +371,12 @@ pub fn search_masked(
             continue;
         }
         // Hits are in document order: contained hits follow i contiguously
-        // until the subtree upper bound. Pruned descendants may be counted
-        // too — their masks are covered by their own descendants, so the
-        // union over all contained hits equals the union over survivors.
-        let upper = hits[i].node.subtree_upper_bound();
+        // until the first hit outside its subtree. Pruned descendants may be
+        // counted too — their masks are covered by their own descendants, so
+        // the union over all contained hits equals the union over survivors.
         let mut contained_union = 0u64;
         let mut any_contained = false;
-        for h in hits.iter().skip(i + 1).take_while(|h| h.node < upper) {
+        for h in hits.iter().skip(i + 1).take_while(|h| hits[i].node.is_ancestor_of(&h.node)) {
             contained_union |= h.keyword_mask;
             any_contained = true;
         }
@@ -437,6 +410,62 @@ pub fn search_masked(
         trace,
         cost,
     })
+}
+
+/// The statistics nodes of one search: LCP candidates ∪ their LCEs, sorted,
+/// with the positions the assembly step needs.
+struct StatNodes {
+    /// Sorted, deduplicated candidates and LCE nodes.
+    nodes: Vec<DeweyId>,
+    /// Position in `nodes` of each candidate, in candidate order.
+    candidate_at: Vec<usize>,
+    /// Position in `nodes` of each candidate's LCE, if it has one.
+    lce_at: Vec<Option<usize>>,
+    /// Whether the node at each position is some candidate's LCE.
+    is_lce: Vec<bool>,
+}
+
+/// Derives each candidate's Least Common Entity (its nearest entity
+/// ancestor-or-self, via `entityHash`) as a key prefix, and builds the
+/// sorted union. Only LCEs that are not themselves candidates allocate.
+fn stat_nodes(index: &GksIndex, candidates: Vec<DeweyId>) -> StatNodes {
+    let table = index.node_table();
+    let lce_len: Vec<Option<usize>> = candidates
+        .iter()
+        .map(|c| table.lowest_entity_depth(c.key()).map(|d| d + 1))
+        .collect();
+    let mut extra: Vec<&[u32]> = candidates
+        .iter()
+        .zip(&lce_len)
+        .filter_map(|(c, len)| Some(&c.key()[..(*len)?]))
+        .filter(|key| candidates.binary_search_by(|c| c.key().cmp(key)).is_err())
+        .collect();
+    extra.sort_unstable();
+    extra.dedup();
+    // Candidates are sorted: each one's position in the union is its own
+    // index plus the extra LCEs that sort before it.
+    let candidate_at: Vec<usize> = candidates
+        .iter()
+        .enumerate()
+        .map(|(i, c)| i + extra.partition_point(|e| *e < c.key()))
+        .collect();
+    let extra: Vec<DeweyId> = extra.into_iter().map(DeweyId::from_key).collect();
+    let mut nodes = candidates;
+    nodes.extend(extra);
+    nodes.sort_unstable();
+
+    let mut is_lce = vec![false; nodes.len()];
+    let lce_at: Vec<Option<usize>> = candidate_at
+        .iter()
+        .zip(&lce_len)
+        .map(|(&p, len)| {
+            let key = &nodes[p].key()[..(*len)?];
+            let e = nodes.binary_search_by(|n| n.key().cmp(key)).ok()?;
+            is_lce[e] = true;
+            Some(e)
+        })
+        .collect();
+    StatNodes { nodes, candidate_at, lce_at, is_lce }
 }
 
 #[cfg(test)]

@@ -141,7 +141,7 @@ impl ShardedResponse {
             .get(self.origin(i))
             .and_then(|m| m.to_local(hit.node.doc().0))
             .unwrap_or(0);
-        DeweyId::new(DocId(local), hit.node.steps().to_vec())
+        hit.node.with_doc(DocId(local))
     }
 
     /// Number of shards that contributed to the scatter.
@@ -162,10 +162,7 @@ fn remap_hit(hit: &Hit, map: &DocMap) -> Hit {
         // A masked engine cannot emit a dead document, so the lookup only
         // misses on a corrupted map; `DEAD_DOC` keeps the hit visible (and
         // sorted last) rather than silently dropped.
-        node: DeweyId::new(
-            DocId(map.to_global(hit.node.doc().0).unwrap_or(DEAD_DOC)),
-            hit.node.steps().to_vec(),
-        ),
+        node: hit.node.with_doc(DocId(map.to_global(hit.node.doc().0).unwrap_or(DEAD_DOC))),
         kind: hit.kind,
         keyword_mask: hit.keyword_mask,
         keyword_count: hit.keyword_count,

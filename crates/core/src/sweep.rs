@@ -20,18 +20,23 @@
 //!
 //! The final rank is `P|e × Σ_k (terminal path products of k)` with
 //! `P|e = |matched keywords|`, reproducing the paper's Example 5 numbers.
+//!
+//! Everything an entry needs from the node table lives on its root path, and
+//! consecutive `SL` entries are pre-order neighbours that share most of that
+//! path. The sweep therefore keeps two per-depth arrays for the current
+//! entry — the reciprocal child-count products and the depth of the lowest
+//! entity ancestor-or-self — and refreshes them only below the key prefix
+//! the entry shares with the previous one: one node-table lookup (on a key
+//! sub-slice, no id built) per new path step, and no per-entry allocation.
 
-use gks_dewey::DeweyId;
-use gks_index::fasthash::FastMap;
+use gks_dewey::{common_key_len, DeweyId};
 use gks_index::GksIndex;
 
-use crate::merge::SlEntry;
+use crate::merge::MergedList;
 
-/// Per-candidate results of the sweep.
+/// Per-candidate results of the sweep, in the order of the candidate nodes.
 #[derive(Debug, Clone)]
 pub struct NodeStats {
-    /// The candidate node.
-    pub dewey: DeweyId,
     /// Bit `i` set iff query keyword `i` occurs in the subtree.
     pub mask: u64,
     /// Potential-flow rank (§5).
@@ -52,7 +57,7 @@ impl NodeStats {
 /// `|Q|`. Returns stats in the same order as `nodes`.
 pub fn sweep(
     index: &GksIndex,
-    sl: &[SlEntry],
+    sl: &MergedList<'_>,
     nodes: &[DeweyId],
     n_keywords: usize,
 ) -> Vec<NodeStats> {
@@ -65,13 +70,17 @@ pub fn sweep(
 /// the §4.2 sweep cost. The stack only ever holds ancestors of the current
 /// entry, so the count is a per-document quantity and sums exactly across
 /// shards of a document-partitioned corpus.
+///
+/// Allocation depends on the candidate set and the tree depth only, never
+/// on `|SL|`.
 pub fn sweep_counted(
     index: &GksIndex,
-    sl: &[SlEntry],
+    sl: &MergedList<'_>,
     nodes: &[DeweyId],
     n_keywords: usize,
 ) -> (Vec<NodeStats>, u64) {
     debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes sorted+deduped");
+    let table = index.node_table();
     let n_nodes = nodes.len();
     let mut mask = vec![0u64; n_nodes];
     // Terminal tracking, flattened [node][keyword].
@@ -79,23 +88,26 @@ pub fn sweep_counted(
     let mut prod_sum = vec![0f64; n_nodes * n_keywords];
     let mut witnessed = vec![false; n_nodes];
 
+    // Active candidates: exactly the nodes that are ancestors-or-self of the
+    // current entry, shallowest first.
     let mut stack: Vec<usize> = Vec::new();
     let mut next_node = 0usize;
     let mut advances = 0u64;
 
-    // Reciprocal child-count products along the current entry's root path:
-    // prods[t] = Π_{u<t} 1/children(prefix of depth u), so the product from a
-    // candidate at depth a down to the entry's parent is prods[dE]/prods[a].
+    // Root-path state of the previous entry, whose key is `path`:
+    // prods[t] = Π_{u<t} 1/children(prefix of depth u), so the product from
+    // a candidate at depth a down to the entry's parent is
+    // prods[dE]/prods[a]; lea[t] is the depth of the lowest entity
+    // ancestor-or-self of the prefix of depth t.
+    let mut path: Vec<u32> = Vec::new();
     let mut prods: Vec<f64> = vec![1.0];
-    let mut prev_entry: Option<DeweyId> = None;
-    // Cache of lowest-entity-ancestor lookups per posting node (postings for
-    // several keywords often repeat the same node).
-    let mut lea_cache: FastMap<DeweyId, Option<DeweyId>> = FastMap::default();
+    let mut lea: Vec<Option<usize>> = Vec::new();
 
-    for (entry, kw) in sl {
-        let kw = *kw as usize;
+    for (entry, kw) in sl.iter() {
+        let kw = usize::from(kw);
+        let key = entry.key();
         // Activate candidates up to the current position.
-        while next_node < n_nodes && nodes[next_node] <= *entry {
+        while next_node < n_nodes && nodes[next_node].key() <= key {
             while let Some(&top) = stack.last() {
                 if nodes[top].is_ancestor_or_self(&nodes[next_node]) {
                     break;
@@ -113,39 +125,54 @@ pub fn sweep_counted(
             stack.pop();
         }
 
-        if !stack.is_empty() {
-            // `prev_entry` is the entry `prods` currently describes — only
-            // entries that actually refreshed `prods` update it.
-            update_prods(index, &mut prods, prev_entry.as_ref(), entry);
-            prev_entry = Some(entry.clone());
-            let d_entry = entry.depth();
-            advances += stack.len() as u64;
-            for &idx in &stack {
-                mask[idx] |= 1 << kw;
-                let d_node = nodes[idx].depth();
-                let p = prods[d_entry] / prods[d_node];
-                let slot = idx * n_keywords + kw;
-                let depth = d_entry as u32;
-                match depth.cmp(&min_depth[slot]) {
-                    std::cmp::Ordering::Less => {
-                        min_depth[slot] = depth;
-                        prod_sum[slot] = p;
-                    }
-                    std::cmp::Ordering::Equal => prod_sum[slot] += p,
-                    std::cmp::Ordering::Greater => {}
+        // Refresh the path arrays below the prefix shared with the previous
+        // entry: prefixes of depth < keep are unchanged.
+        let keep = common_key_len(&path, key);
+        path.truncate(keep);
+        path.extend_from_slice(&key[keep..]);
+        lea.truncate(keep);
+        prods.truncate(keep + 1);
+        for t in keep..key.len() {
+            let meta = table.get_key(&key[..t + 1]);
+            let inherited = t.checked_sub(1).and_then(|parent| lea[parent]);
+            lea.push(if meta.is_some_and(|m| m.flags.is_entity()) {
+                Some(t)
+            } else {
+                inherited
+            });
+            let children = meta.map_or(1, |m| m.child_count).max(1);
+            prods.push(prods[t] / children as f64);
+        }
+
+        let d_entry = entry.depth();
+        advances += stack.len() as u64;
+        for &idx in &stack {
+            mask[idx] |= 1 << kw;
+            let d_node = nodes[idx].depth();
+            let p = prods[d_entry] / prods[d_node];
+            let slot = idx * n_keywords + kw;
+            let depth = d_entry as u32;
+            match depth.cmp(&min_depth[slot]) {
+                std::cmp::Ordering::Less => {
+                    min_depth[slot] = depth;
+                    prod_sum[slot] = p;
                 }
+                std::cmp::Ordering::Equal => prod_sum[slot] += p,
+                std::cmp::Ordering::Greater => {}
             }
         }
 
         // Witness marking: this occurrence independently witnesses its
-        // nearest enclosing entity node.
-        let lea = lea_cache
-            .entry(entry.clone())
-            .or_insert_with(|| index.node_table().lowest_entity_ancestor_or_self(entry))
-            .clone();
-        if let Some(entity) = lea {
-            if let Ok(idx) = nodes.binary_search(&entity) {
-                witnessed[idx] = true;
+        // nearest enclosing entity node. That entity is an ancestor-or-self
+        // of the entry, so if it is a candidate at all it is on the stack.
+        if let Some(entity_depth) = lea[d_entry] {
+            for &idx in stack.iter().rev() {
+                match nodes[idx].depth().cmp(&entity_depth) {
+                    std::cmp::Ordering::Greater => continue,
+                    std::cmp::Ordering::Equal => witnessed[idx] = true,
+                    std::cmp::Ordering::Less => {}
+                }
+                break;
             }
         }
     }
@@ -154,34 +181,10 @@ pub fn sweep_counted(
         .map(|i| {
             let sum: f64 = prod_sum[i * n_keywords..(i + 1) * n_keywords].iter().sum();
             let p = mask[i].count_ones() as f64;
-            NodeStats {
-                dewey: nodes[i].clone(),
-                mask: mask[i],
-                rank: p * sum,
-                witnessed: witnessed[i],
-            }
+            NodeStats { mask: mask[i], rank: p * sum, witnessed: witnessed[i] }
         })
         .collect();
     (stats, advances)
-}
-
-/// Refreshes the prefix-product vector for a new entry, reusing the shared
-/// prefix with the previous entry (consecutive `SL` entries are pre-order
-/// neighbours, so most of the path is unchanged).
-fn update_prods(index: &GksIndex, prods: &mut Vec<f64>, prev: Option<&DeweyId>, entry: &DeweyId) {
-    let keep = match prev {
-        Some(p) => p.common_prefix_len(entry).unwrap_or(0),
-        None => 0,
-    };
-    prods.truncate(keep + 1);
-    for t in keep..entry.depth() {
-        let prefix = entry.ancestor_at_depth(t);
-        let children = index.node_table().child_count(&prefix).unwrap_or(1).max(1);
-        // The caller seeds `prods` with 1.0; fall back to that seed so an
-        // empty vector degrades gracefully instead of panicking.
-        let last = prods.last().copied().unwrap_or(1.0);
-        prods.push(last / children as f64);
-    }
 }
 
 #[cfg(test)]
@@ -208,8 +211,8 @@ mod tests {
         GksIndex::build(&corpus, IndexOptions::default()).unwrap()
     }
 
-    fn sl_for(ix: &GksIndex, kws: &[&str]) -> Vec<SlEntry> {
-        merge_posting_lists(kws.iter().map(|k| ix.postings(k).to_vec()).collect())
+    fn sl_for<'a>(ix: &'a GksIndex, kws: &[&str]) -> MergedList<'a> {
+        merge_posting_lists(kws.iter().map(|k| ix.postings(k)))
     }
 
     #[test]
@@ -221,19 +224,18 @@ mod tests {
         let x2 = d(&[0, 4]);
         let x3 = d(&[1]);
         let x4 = d(&[2]);
-        let stats = sweep(&ix, &sl, &[x2.clone(), x3.clone(), x4.clone()], 4);
-        let by_node: std::collections::HashMap<_, _> =
-            stats.iter().map(|s| (s.dewey.clone(), s)).collect();
+        let nodes = [x2, x3, x4];
+        let stats = sweep(&ix, &sl, &nodes, 4);
 
-        let s2 = by_node[&x2];
+        let s2 = &stats[0];
         assert_eq!(s2.keyword_count(), 3); // a, b, c
         assert!((s2.rank - 3.0).abs() < 1e-9, "rank(x2) = {}", s2.rank);
 
-        let s3 = by_node[&x3];
+        let s3 = &stats[1];
         assert_eq!(s3.keyword_count(), 3); // a, b, d
         assert!((s3.rank - 2.5).abs() < 1e-9, "rank(x3) = {}", s3.rank);
 
-        let s4 = by_node[&x4];
+        let s4 = &stats[2];
         assert_eq!(s4.keyword_count(), 2); // c, d
         assert!((s4.rank - 2.0).abs() < 1e-9, "rank(x4) = {}", s4.rank);
     }
@@ -304,7 +306,7 @@ mod tests {
         let (stats, advances) = sweep_counted(&ix, &sl, &nodes, 2);
         assert_eq!(stats.len(), 3);
         let mut expected = 0u64;
-        for (entry, _) in &sl {
+        for (entry, _) in sl.iter() {
             expected += nodes.iter().filter(|n| n.is_ancestor_or_self(entry)).count() as u64;
         }
         assert_eq!(advances, expected);
@@ -321,8 +323,9 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let ix = fig1_index();
-        assert!(sweep(&ix, &[], &[], 1).is_empty());
-        let stats = sweep(&ix, &[], &[d(&[])], 1);
+        let empty = MergedList::default();
+        assert!(sweep(&ix, &empty, &[], 1).is_empty());
+        let stats = sweep(&ix, &empty, &[d(&[])], 1);
         assert_eq!(stats[0].mask, 0);
         assert_eq!(stats[0].rank, 0.0);
     }

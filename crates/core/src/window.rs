@@ -12,16 +12,19 @@
 //! implementing Def 2.1.1's "the parent node of an attribute node is
 //! considered the lowest ancestor for keyword(s) in its value".
 
-use gks_dewey::DeweyId;
+use gks_dewey::{common_key_len, DeweyId};
 use gks_index::GksIndex;
 
-use crate::merge::SlEntry;
+use crate::merge::MergedList;
 
 /// Enumerates LCP candidates for blocks of `s` unique keywords, with
 /// attribute-node promotion, returning them sorted and deduplicated.
+///
+/// Prefixes and promotion work on Dewey key slices; an id is allocated only
+/// when a candidate differs from the one just emitted.
 pub fn lcp_candidates(
     index: &GksIndex,
-    sl: &[SlEntry],
+    sl: &MergedList<'_>,
     s: usize,
     n_keywords: usize,
 ) -> Vec<DeweyId> {
@@ -34,7 +37,7 @@ pub fn lcp_candidates(
     for l in 0..sl.len() {
         // Extend the right edge until the window holds s unique keywords.
         while unique < s && r < sl.len() {
-            let kw = sl[r].1 as usize;
+            let kw = usize::from(sl.keyword(r));
             if counts[kw] == 0 {
                 unique += 1;
             }
@@ -46,15 +49,17 @@ pub fn lcp_candidates(
         }
         // Lemma 6: the LCP of the sorted block is the common prefix of its
         // first and last entries. A cross-document block has no common
-        // ancestor and yields no candidate.
-        if let Some(prefix) = sl[l].0.common_prefix(&sl[r - 1].0) {
-            let promoted = promote_attribute(index, prefix);
-            if out.last() != Some(&promoted) {
-                out.push(promoted);
+        // ancestor (no shared key element) and yields no candidate.
+        let first = sl.id(l).key();
+        let shared = common_key_len(first, sl.id(r - 1).key());
+        if shared > 0 {
+            let candidate = &first[..promoted_len(index, first, shared)];
+            if out.last().map(DeweyId::key) != Some(candidate) {
+                out.push(DeweyId::from_key(candidate));
             }
         }
         // Slide the left edge.
-        let kw = sl[l].1 as usize;
+        let kw = usize::from(sl.keyword(l));
         counts[kw] -= 1;
         if counts[kw] == 0 {
             unique -= 1;
@@ -66,21 +71,20 @@ pub fn lcp_candidates(
     out
 }
 
-/// Promotes an attribute-node candidate to its parent (Def 2.1.1). Keywords
-/// matching inside one attribute value have the attribute's parent as their
-/// lowest meaningful ancestor.
-fn promote_attribute(index: &GksIndex, mut id: DeweyId) -> DeweyId {
-    while let Some(meta) = index.node_table().get(&id) {
-        if meta.flags.is_attribute() {
-            match id.parent() {
-                Some(p) => id = p,
-                None => break,
-            }
-        } else {
-            break;
-        }
+/// Promotes an attribute-node candidate `&key[..len]` to its parent
+/// (Def 2.1.1), returning the promoted key length. Keywords matching inside
+/// one attribute value have the attribute's parent as their lowest
+/// meaningful ancestor.
+fn promoted_len(index: &GksIndex, key: &[u32], mut len: usize) -> usize {
+    while len > 1
+        && index
+            .node_table()
+            .get_key(&key[..len])
+            .is_some_and(|meta| meta.flags.is_attribute())
+    {
+        len -= 1;
     }
-    id
+    len
 }
 
 #[cfg(test)]
@@ -109,8 +113,7 @@ mod tests {
     fn window_finds_common_ancestors() {
         let ix = fig2a_index();
         // karen (2 postings) + mike (1 posting).
-        let sl =
-            merge_posting_lists(vec![ix.postings("karen").to_vec(), ix.postings("mike").to_vec()]);
+        let sl = merge_posting_lists([ix.postings("karen"), ix.postings("mike")]);
         let cands = lcp_candidates(&ix, &sl, 2, 2);
         // Blocks: (karen@c0, mike@c0) → Students of course 0;
         // (mike@c0, karen@c1) → Courses.
@@ -121,8 +124,8 @@ mod tests {
     #[test]
     fn s_equal_one_yields_each_posting_node() {
         let ix = fig2a_index();
-        let karen = ix.postings("karen").to_vec();
-        let sl = merge_posting_lists(vec![karen.clone()]);
+        let karen = ix.postings("karen");
+        let sl = merge_posting_lists([karen]);
         let cands = lcp_candidates(&ix, &sl, 1, 1);
         // Student text nodes are repeating (not attribute) nodes, so no
         // promotion happens and each posting is its own candidate.
@@ -136,10 +139,8 @@ mod tests {
         // first course; their 2-block LCP is the Name node itself, which must
         // be promoted to the Course (Def 2.1.1: ancestor of 'Databases' is
         // the Area, not the Name).
-        let sl = merge_posting_lists(vec![
-            ix.postings("data").to_vec(),
-            ix.postings("mine").to_vec(), // "mining" stems to "mine"
-        ]);
+        // "mining" stems to "mine".
+        let sl = merge_posting_lists([ix.postings("data"), ix.postings("mine")]);
         let cands = lcp_candidates(&ix, &sl, 2, 2);
         assert_eq!(cands, vec![d(&[1, 1, 0])], "promoted to the Course node");
     }
@@ -147,7 +148,7 @@ mod tests {
     #[test]
     fn unreachable_threshold_gives_no_candidates() {
         let ix = fig2a_index();
-        let sl = merge_posting_lists(vec![ix.postings("karen").to_vec(), Vec::new()]);
+        let sl = merge_posting_lists([ix.postings("karen"), &[]]);
         assert!(lcp_candidates(&ix, &sl, 2, 2).is_empty());
     }
 
@@ -156,7 +157,7 @@ mod tests {
         let ix = fig2a_index();
         // Two karen postings with s=2 over a single keyword can never form a
         // valid block of 2 *unique* keywords.
-        let sl = merge_posting_lists(vec![ix.postings("karen").to_vec()]);
+        let sl = merge_posting_lists([ix.postings("karen")]);
         assert!(lcp_candidates(&ix, &sl, 2, 1).is_empty());
     }
 }

@@ -48,15 +48,15 @@ proptest! {
         let lists: Vec<Vec<DeweyId>> = query
             .normalized(ix.analyzer())
             .iter()
-            .map(|k| gks_core::postlist::keyword_postings(&ix, k))
+            .map(|k| gks_core::postlist::keyword_postings(&ix, k).into_owned())
             .collect();
         let total: usize = lists.iter().map(Vec::len).sum();
-        let sl = merge_posting_lists(lists.clone());
+        let sl = merge_posting_lists(&lists);
         prop_assert_eq!(sl.len(), total);
-        prop_assert!(sl.windows(2).all(|w| w[0].0 <= w[1].0), "SL unsorted");
+        prop_assert!((1..sl.len()).all(|i| sl.id(i - 1) <= sl.id(i)), "SL unsorted");
         // Each entry really is a posting of its keyword.
-        for (dewey, kw) in &sl {
-            prop_assert!(lists[*kw as usize].binary_search(dewey).is_ok());
+        for (dewey, kw) in sl.iter() {
+            prop_assert!(lists[usize::from(kw)].binary_search(dewey).is_ok());
         }
     }
 
@@ -74,10 +74,10 @@ proptest! {
         let normalized = query.normalized(ix.analyzer());
         let lists: Vec<Vec<DeweyId>> = normalized
             .iter()
-            .map(|k| gks_core::postlist::keyword_postings(&ix, k))
+            .map(|k| gks_core::postlist::keyword_postings(&ix, k).into_owned())
             .collect();
         let s = s.min(normalized.len());
-        let sl = merge_posting_lists(lists.clone());
+        let sl = merge_posting_lists(&lists);
         for cand in lcp_candidates(&ix, &sl, s, normalized.len()) {
             let unique = lists.iter().filter(|l| contains(l, &cand)).count();
             prop_assert!(unique >= s, "candidate {cand} has {unique} < {s} keywords");

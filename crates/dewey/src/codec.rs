@@ -25,7 +25,7 @@
 
 use bytes::{Buf, BufMut};
 
-use crate::{DeweyId, DocId, Step};
+use crate::{DeweyId, DocId};
 
 /// Error returned when decoding malformed or truncated bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,11 +108,12 @@ pub fn encode_id(id: &DeweyId, out: &mut impl BufMut) {
 pub fn decode_id(input: &mut impl Buf) -> Result<DeweyId, DecodeError> {
     let doc = read_varint_u32(input)?;
     let len = read_varint(input)? as usize;
-    let mut steps = Vec::with_capacity(len);
+    let mut key = Vec::with_capacity(1 + len.min(MAX_PREALLOC));
+    key.push(doc);
     for _ in 0..len {
-        steps.push(read_varint_u32(input)?);
+        key.push(read_varint_u32(input)?);
     }
-    Ok(DeweyId::new(DocId(doc), steps))
+    Ok(DeweyId::from_key(&key))
 }
 
 /// Encodes one run entry relative to its predecessor: document id delta flag
@@ -139,35 +140,38 @@ fn encode_run_entry(prev: Option<&DeweyId>, id: &DeweyId, out: &mut impl BufMut)
 /// Streaming decoder for delta-prefix run entries; one per run (or per
 /// block, since blocks restart the prefix chain).
 struct RunDecoder {
-    doc: DocId,
-    prev_steps: Vec<Step>,
+    /// Key of the previous entry, `[doc, steps…]` (just `[0]` before the
+    /// first).
+    key: Vec<u32>,
     first: bool,
 }
 
 impl RunDecoder {
     fn new() -> Self {
-        RunDecoder { doc: DocId(0), prev_steps: Vec::new(), first: true }
+        RunDecoder { key: vec![0], first: true }
     }
 
     fn next(&mut self, input: &mut impl Buf) -> Result<DeweyId, DecodeError> {
         let new_doc = read_varint(input)? != 0;
         if new_doc {
-            self.doc = DocId(read_varint_u32(input)?);
-            self.prev_steps.clear();
+            let doc = read_varint_u32(input)?;
+            self.key.clear();
+            self.key.push(doc);
         } else if self.first {
             return Err(DecodeError::UnexpectedEof);
         }
         self.first = false;
         let shared = read_varint(input)? as usize;
-        if shared > self.prev_steps.len() {
-            return Err(DecodeError::BadSharedPrefix { shared, prev_depth: self.prev_steps.len() });
+        let prev_depth = self.key.len() - 1;
+        if shared > prev_depth {
+            return Err(DecodeError::BadSharedPrefix { shared, prev_depth });
         }
         let suffix_len = read_varint(input)? as usize;
-        self.prev_steps.truncate(shared);
+        self.key.truncate(shared + 1);
         for _ in 0..suffix_len {
-            self.prev_steps.push(read_varint_u32(input)?);
+            self.key.push(read_varint_u32(input)?);
         }
-        Ok(DeweyId::new(self.doc, self.prev_steps.clone()))
+        Ok(DeweyId::from_key(&self.key))
     }
 }
 
@@ -239,45 +243,44 @@ fn encode_block_entry(prev: Option<&DeweyId>, id: &DeweyId, out: &mut impl BufMu
 
 /// Streaming decoder for [`encode_block_entry`] entries; one per block.
 struct BlockDecoder {
-    doc: DocId,
-    prev_steps: Vec<Step>,
+    /// Key of the previous entry, `[doc, steps…]`.
+    key: Vec<u32>,
     first: bool,
 }
 
 impl BlockDecoder {
     fn new() -> Self {
-        BlockDecoder { doc: DocId(0), prev_steps: Vec::new(), first: true }
+        BlockDecoder { key: vec![0], first: true }
     }
 
     fn next(&mut self, input: &mut impl Buf) -> Result<DeweyId, DecodeError> {
-        let shared = if self.first {
+        let new_doc = if self.first {
             self.first = false;
-            self.doc = DocId(read_varint_u32(input)?);
-            self.prev_steps.clear();
-            0
+            true
         } else {
             let header = read_varint(input)? as usize;
             if header == 0 {
-                self.doc = DocId(read_varint_u32(input)?);
-                self.prev_steps.clear();
-                0
+                true
             } else {
                 let shared = header - 1;
-                if shared > self.prev_steps.len() {
-                    return Err(DecodeError::BadSharedPrefix {
-                        shared,
-                        prev_depth: self.prev_steps.len(),
-                    });
+                let prev_depth = self.key.len() - 1;
+                if shared > prev_depth {
+                    return Err(DecodeError::BadSharedPrefix { shared, prev_depth });
                 }
-                shared
+                self.key.truncate(shared + 1);
+                false
             }
         };
-        let suffix_len = read_varint(input)? as usize;
-        self.prev_steps.truncate(shared);
-        for _ in 0..suffix_len {
-            self.prev_steps.push(read_varint_u32(input)?);
+        if new_doc {
+            let doc = read_varint_u32(input)?;
+            self.key.clear();
+            self.key.push(doc);
         }
-        Ok(DeweyId::new(self.doc, self.prev_steps.clone()))
+        let suffix_len = read_varint(input)? as usize;
+        for _ in 0..suffix_len {
+            self.key.push(read_varint_u32(input)?);
+        }
+        Ok(DeweyId::from_key(&self.key))
     }
 }
 

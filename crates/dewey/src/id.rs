@@ -1,7 +1,9 @@
 //! The [`DeweyId`] type and its prefix algebra.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
@@ -30,93 +32,113 @@ impl fmt::Display for DocId {
 /// first by [`DocId`], then lexicographically by path, with a prefix sorting
 /// before all of its extensions — i.e. an ancestor sorts immediately before
 /// its first descendant.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The id is stored as one contiguous *key* `[doc, step0, step1, …]`
+/// ([`Self::key`]). Document order is exactly the lexicographic order of
+/// keys, and the ancestor at depth `t` is the key prefix `&key[..t + 1]`, so
+/// hash lookups and comparisons along a node's root path borrow sub-slices
+/// instead of building new ids. `Hash` hashes the key slice, which makes a
+/// `HashMap<DeweyId, _>` queryable by `&[u32]` through [`Borrow`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeweyId {
-    doc: DocId,
-    steps: Vec<Step>,
+    /// `[doc, steps…]`; never empty.
+    key: Vec<u32>,
 }
 
 impl DeweyId {
     /// Creates an id from a document id and a path of sibling ordinals.
-    pub fn new(doc: DocId, steps: Vec<Step>) -> Self {
-        DeweyId { doc, steps }
+    pub fn new(doc: DocId, mut steps: Vec<Step>) -> Self {
+        steps.insert(0, doc.0);
+        DeweyId { key: steps }
     }
 
     /// The root of document `doc` (empty path).
     pub fn root(doc: DocId) -> Self {
-        DeweyId { doc, steps: Vec::new() }
+        DeweyId { key: vec![doc.0] }
+    }
+
+    /// Creates an id from its contiguous key `[doc, steps…]` (see
+    /// [`Self::key`]). Panics on an empty key, which names no node.
+    pub fn from_key(key: &[u32]) -> Self {
+        assert!(!key.is_empty(), "a Dewey key starts with its document id");
+        DeweyId { key: key.to_vec() }
+    }
+
+    /// The contiguous key `[doc, step0, step1, …]`. Keys compare in
+    /// document order, and the key of the ancestor at depth `t` is
+    /// `&key[..t + 1]`.
+    pub fn key(&self) -> &[u32] {
+        &self.key
     }
 
     /// The document this node belongs to.
     pub fn doc(&self) -> DocId {
-        self.doc
+        DocId(self.key[0])
+    }
+
+    /// The same path in document `doc` — how a shard-local id and its
+    /// corpus-global id relate.
+    pub fn with_doc(&self, doc: DocId) -> DeweyId {
+        let mut key = self.key.clone();
+        key[0] = doc.0;
+        DeweyId { key }
     }
 
     /// The sibling-ordinal path from the document root.
     pub fn steps(&self) -> &[Step] {
-        &self.steps
+        &self.key[1..]
     }
 
     /// Depth of the node: number of edges from the document root (the root
     /// has depth 0).
     pub fn depth(&self) -> usize {
-        self.steps.len()
+        self.key.len() - 1
     }
 
     /// The last sibling ordinal, or `None` for a document root.
     pub fn last_step(&self) -> Option<Step> {
-        self.steps.last().copied()
+        self.steps().last().copied()
     }
 
     /// The parent id, or `None` for a document root.
     pub fn parent(&self) -> Option<DeweyId> {
-        if self.steps.is_empty() {
-            None
-        } else {
-            Some(DeweyId { doc: self.doc, steps: self.steps[..self.steps.len() - 1].to_vec() })
+        match self.depth() {
+            0 => None,
+            d => Some(DeweyId::from_key(&self.key[..d])),
         }
     }
 
     /// The id of this node's `ordinal`-th child.
     pub fn child(&self, ordinal: Step) -> DeweyId {
-        let mut steps = Vec::with_capacity(self.steps.len() + 1);
-        steps.extend_from_slice(&self.steps);
-        steps.push(ordinal);
-        DeweyId { doc: self.doc, steps }
+        let mut key = Vec::with_capacity(self.key.len() + 1);
+        key.extend_from_slice(&self.key);
+        key.push(ordinal);
+        DeweyId { key }
     }
 
     /// Returns `true` iff `self` is a **strict** ancestor of `other`
     /// (`self ≺a other` in the paper's notation).
     pub fn is_ancestor_of(&self, other: &DeweyId) -> bool {
-        self.doc == other.doc
-            && self.steps.len() < other.steps.len()
-            && other.steps[..self.steps.len()] == self.steps[..]
+        self.key.len() < other.key.len() && other.key.starts_with(&self.key)
     }
 
     /// Returns `true` iff `self` is an ancestor of `other` or equal to it
     /// (`self ⪯a other`).
     pub fn is_ancestor_or_self(&self, other: &DeweyId) -> bool {
-        self == other || self.is_ancestor_of(other)
+        other.key.starts_with(&self.key)
     }
 
     /// Longest common prefix of two ids — the Dewey id of their lowest common
     /// ancestor. `None` when the ids belong to different documents.
     pub fn common_prefix(&self, other: &DeweyId) -> Option<DeweyId> {
-        if self.doc != other.doc {
-            return None;
-        }
-        let n = self.steps.iter().zip(other.steps.iter()).take_while(|(a, b)| a == b).count();
-        Some(DeweyId { doc: self.doc, steps: self.steps[..n].to_vec() })
+        self.common_prefix_len(other).map(|n| DeweyId::from_key(&self.key[..n + 1]))
     }
 
     /// Number of leading path steps shared with `other` in the same document,
     /// or `None` across documents. Cheaper than [`Self::common_prefix`] when
     /// only the length is needed.
     pub fn common_prefix_len(&self, other: &DeweyId) -> Option<usize> {
-        if self.doc != other.doc {
-            return None;
-        }
-        Some(self.steps.iter().zip(other.steps.iter()).take_while(|(a, b)| a == b).count())
+        common_key_len(&self.key, &other.key).checked_sub(1)
     }
 
     /// The smallest id that sorts strictly after **every** node in the
@@ -126,42 +148,47 @@ impl DeweyId {
     /// Used to binary-search the contiguous subtree range of a candidate node
     /// within the sorted merged list `SL` (§4.1).
     pub fn subtree_upper_bound(&self) -> DeweyId {
-        let mut steps = self.steps.clone();
+        let mut key = self.key.clone();
         // Increment the last step; on overflow carry into the parent, and if
         // the carry escapes the root, move to the next document.
-        loop {
-            match steps.pop() {
+        while key.len() > 1 {
+            match key.pop() {
                 Some(s) if s < Step::MAX => {
-                    steps.push(s + 1);
-                    return DeweyId { doc: self.doc, steps };
+                    key.push(s + 1);
+                    return DeweyId { key };
                 }
-                Some(_) => continue, // carry
-                None => {
-                    return DeweyId { doc: DocId(self.doc.0 + 1), steps: Vec::new() };
-                }
+                _ => continue, // carry
             }
         }
+        DeweyId { key: vec![self.key[0] + 1] }
     }
 
     /// Iterates over the strict ancestors of this node, from the parent up to
     /// the document root.
     pub fn ancestors(&self) -> Ancestors<'_> {
-        Ancestors { doc: self.doc, steps: &self.steps, len: self.steps.len() }
+        Ancestors { key: &self.key, len: self.key.len() - 1 }
     }
 
     /// The ancestor-or-self at the given depth. Panics if `depth` exceeds the
     /// node's own depth.
     pub fn ancestor_at_depth(&self, depth: usize) -> DeweyId {
-        assert!(depth <= self.steps.len(), "depth {depth} exceeds node depth");
-        DeweyId { doc: self.doc, steps: self.steps[..depth].to_vec() }
+        assert!(depth <= self.depth(), "depth {depth} exceeds node depth");
+        DeweyId::from_key(&self.key[..depth + 1])
     }
+}
+
+/// Length of the longest common prefix of two Dewey keys, in key elements
+/// (the document id included): `0` across documents, `depth + 1` of the
+/// lowest common ancestor otherwise.
+pub fn common_key_len(a: &[u32], b: &[u32]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
 /// Iterator over strict ancestors, nearest first. See [`DeweyId::ancestors`].
 #[derive(Debug)]
 pub struct Ancestors<'a> {
-    doc: DocId,
-    steps: &'a [Step],
+    key: &'a [u32],
+    /// Key length of the next ancestor to yield (`1` is the document root).
     len: usize,
 }
 
@@ -172,8 +199,9 @@ impl Iterator for Ancestors<'_> {
         if self.len == 0 {
             return None;
         }
+        let id = DeweyId::from_key(&self.key[..self.len]);
         self.len -= 1;
-        Some(DeweyId { doc: self.doc, steps: self.steps[..self.len].to_vec() })
+        Some(id)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -183,9 +211,23 @@ impl Iterator for Ancestors<'_> {
 
 impl ExactSizeIterator for Ancestors<'_> {}
 
+impl Borrow<[u32]> for DeweyId {
+    fn borrow(&self) -> &[u32] {
+        &self.key
+    }
+}
+
+impl Hash for DeweyId {
+    /// Hashes the key slice, so the hash agrees with the borrowed `[u32]`
+    /// form (the [`Borrow`] contract).
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
 impl Ord for DeweyId {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.doc.cmp(&other.doc).then_with(|| self.steps.cmp(&other.steps))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -199,8 +241,8 @@ impl fmt::Display for DeweyId {
     /// Formats as `doc:step.step.step`, e.g. `0:0.1.1.0`; a document root is
     /// `doc:` with an empty path.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:", self.doc)?;
-        for (i, s) in self.steps.iter().enumerate() {
+        write!(f, "{}:", self.doc())?;
+        for (i, s) in self.steps().iter().enumerate() {
             if i > 0 {
                 write!(f, ".")?;
             }
@@ -232,16 +274,15 @@ impl FromStr for DeweyId {
         let doc: u32 = doc
             .parse()
             .map_err(|_| ParseDeweyIdError(format!("bad document id in {s:?}")))?;
-        let steps = if path.is_empty() {
-            Vec::new()
-        } else {
-            path.split('.')
-                .map(|p| {
+        let mut key = vec![doc];
+        if !path.is_empty() {
+            for p in path.split('.') {
+                key.push(
                     p.parse::<Step>()
-                        .map_err(|_| ParseDeweyIdError(format!("bad step {p:?} in {s:?}")))
-                })
-                .collect::<Result<Vec<_>, _>>()?
-        };
-        Ok(DeweyId { doc: DocId(doc), steps })
+                        .map_err(|_| ParseDeweyIdError(format!("bad step {p:?} in {s:?}")))?,
+                );
+            }
+        }
+        Ok(DeweyId { key })
     }
 }

@@ -23,7 +23,7 @@
 pub mod codec;
 mod id;
 
-pub use id::{DeweyId, DocId, Step};
+pub use id::{common_key_len, DeweyId, DocId, Step};
 
 #[cfg(test)]
 mod tests {

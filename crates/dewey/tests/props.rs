@@ -1,6 +1,9 @@
 //! Property tests for the Dewey id algebra and codecs.
 
-use gks_dewey::{codec, DeweyId, DocId};
+use std::hash::{BuildHasher, BuildHasherDefault};
+
+use gks_dewey::{codec, common_key_len, DeweyId, DocId};
+use gks_index::fasthash::FxHasher;
 use proptest::prelude::*;
 
 fn arb_id() -> impl Strategy<Value = DeweyId> {
@@ -142,5 +145,53 @@ proptest! {
         let (masked, dropped) = reader.decode_masked(&dead).unwrap();
         prop_assert_eq!(dropped, (ids.len() - expected.len()) as u64);
         prop_assert_eq!(masked, expected);
+    }
+
+    /// The contiguous key is the whole representation: ordering, hashing,
+    /// ancestry and prefixes computed on the id agree with the same
+    /// computation on `key()` slices, and with the `(doc, steps)` view.
+    #[test]
+    fn key_laws(
+        a in arb_deep_id(),
+        other in arb_deep_id(),
+        cut in 0usize..24,
+        suffix in proptest::collection::vec(0u32..4, 0..4),
+        depth in 0usize..24,
+    ) {
+        // A related id sharing a random prefix of `a`'s key exercises deep
+        // common prefixes and ancestry, which independent ids rarely hit.
+        let mut related = a.key()[..(cut % a.key().len()) + 1].to_vec();
+        related.extend_from_slice(&suffix);
+        let related = DeweyId::from_key(&related);
+        for b in [&other, &related, &a] {
+            // Order: id order == key order == (doc, steps) order.
+            prop_assert_eq!(a.cmp(b), a.key().cmp(b.key()));
+            prop_assert_eq!(a.cmp(b), (a.doc(), a.steps()).cmp(&(b.doc(), b.steps())));
+
+            // Ancestry is the key-prefix test.
+            prop_assert_eq!(a.is_ancestor_or_self(b), b.key().starts_with(a.key()));
+            prop_assert_eq!(
+                a.is_ancestor_of(b),
+                b.key().starts_with(a.key()) && a.key().len() < b.key().len()
+            );
+
+            // Common prefixes are key slices.
+            let shared = common_key_len(a.key(), b.key());
+            prop_assert_eq!(a.common_prefix_len(b), shared.checked_sub(1));
+            let lca = a.common_prefix(b);
+            let lca_key = lca.as_ref().map(DeweyId::key);
+            prop_assert_eq!(lca_key, (shared > 0).then(|| &a.key()[..shared]));
+        }
+        prop_assert_eq!(a.key()[0], a.doc().0);
+        prop_assert_eq!(&a.key()[1..], a.steps());
+        prop_assert_eq!(&DeweyId::from_key(a.key()), &a);
+        let d = depth.min(a.depth());
+        let anc = a.ancestor_at_depth(d);
+        prop_assert_eq!(anc.key(), &a.key()[..d + 1]);
+
+        // Hash: an id and its borrowed key hash alike under the index hasher.
+        let fx = BuildHasherDefault::<FxHasher>::default();
+        prop_assert_eq!(fx.hash_one(&a), fx.hash_one(a.key()));
+        prop_assert_eq!(fx.hash_one(&related), fx.hash_one(related.key()));
     }
 }

@@ -40,7 +40,8 @@ pub type Job = Box<dyn FnOnce() + Send + 'static>;
 static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
 
 /// Total worker threads spawned process-wide by [`WorkerPool`]s. A steady
-/// value across a burst of requests proves the fan-out path is spawn-free.
+/// value across a burst of requests proves the fan-out path is spawn-free,
+/// provided nothing else in the process creates pools meanwhile.
 pub fn threads_spawned_total() -> u64 {
     THREADS_SPAWNED.load(Ordering::Relaxed)
 }
@@ -313,8 +314,17 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// Serialises the tests that create pools, so `pool_reuse_spawns_nothing`
+    /// reads a process-wide spawn count no concurrent test can move.
+    static POOLS: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        POOLS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn scatter_returns_results_in_submission_order() {
+        let _serial = serial();
         let pool = WorkerPool::new("t-order", 4).unwrap();
         let scatter = Scatter::new(16);
         for i in 0..16usize {
@@ -331,6 +341,7 @@ mod tests {
 
     #[test]
     fn panics_are_captured_and_workers_survive() {
+        let _serial = serial();
         let pool = WorkerPool::new("t-panic", 2).unwrap();
         let scatter = Scatter::new(3);
         pool.submit(scatter.task(0, || 1u32));
@@ -348,6 +359,7 @@ mod tests {
 
     #[test]
     fn shutdown_resolves_unrun_jobs_to_err() {
+        let _serial = serial();
         let pool = WorkerPool::new("t-shutdown", 1).unwrap();
         drop(pool);
         let pool = WorkerPool::new("t-shutdown2", 1).unwrap();
@@ -376,6 +388,7 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_reports_false_and_resolves_slot() {
+        let _serial = serial();
         let pool = WorkerPool::new("t-late", 1).unwrap();
         let shared = Arc::clone(&pool.shared);
         drop(pool);
@@ -387,6 +400,7 @@ mod tests {
 
     #[test]
     fn pool_reuse_spawns_nothing() {
+        let _serial = serial();
         let pool = WorkerPool::new("t-reuse", 2).unwrap();
         let warm = Scatter::new(2);
         pool.submit(warm.task(0, || 0u32));

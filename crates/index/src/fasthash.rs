@@ -17,6 +17,7 @@ pub type FastSet<K> = std::collections::HashSet<K, BuildHasherDefault<FxHasher>>
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const ROTATE: u32 = 5;
+const FINISH_ROTATE: u32 = 26;
 
 /// The FxHash mixing function: rotate, xor, multiply per word.
 #[derive(Debug, Default, Clone)]
@@ -69,9 +70,13 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
+    /// The multiply leaves its best-mixed bits at the top of the word, while
+    /// hashbrown picks the bucket from the low bits. Rotating the high bits
+    /// down (as rustc-hash 2 does) keeps keys that differ only in one
+    /// 8-byte word — a Dewey key's `[doc, step0]` pair — from clustering.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(FINISH_ROTATE)
     }
 }
 
@@ -96,6 +101,21 @@ mod tests {
         assert_ne!(hash_of(&"a"), hash_of(&"b"));
         // Padding in the tail must not collapse distinct lengths.
         assert_ne!(hash_of(&[1u8].as_slice()), hash_of(&[1u8, 0].as_slice()));
+    }
+
+    #[test]
+    fn sequential_dewey_keys_spread_over_low_bit_buckets() {
+        // 4 096 keys `[doc, a, b]` as sibling ids enumerate them; the bucket
+        // is the low 12 bits of the hash, as a 4 096-bucket table uses.
+        let mut buckets = std::collections::HashSet::new();
+        for doc in 0..4u32 {
+            for a in 0..32u32 {
+                for b in 0..32u32 {
+                    buckets.insert(hash_of(&[doc, a, b].as_slice()) & 0xfff);
+                }
+            }
+        }
+        assert!(buckets.len() >= 2048, "only {} of 4096 buckets used", buckets.len());
     }
 
     #[test]

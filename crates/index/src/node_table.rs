@@ -106,6 +106,13 @@ impl NodeTable {
         self.map.get(id)
     }
 
+    /// Full metadata for the node with Dewey key `key` (see
+    /// [`DeweyId::key`]). An ancestor's metadata is `get_key(&key[..t + 1])`,
+    /// with no id built for the lookup.
+    pub fn get_key(&self, key: &[u32]) -> Option<&NodeMeta> {
+        self.map.get(key)
+    }
+
     /// Paper API: `isEntity(DeweyId)` — "returns the number of direct
     /// children the given node has if true, null otherwise".
     pub fn is_entity(&self, id: &DeweyId) -> Option<u32> {
@@ -134,15 +141,18 @@ impl NodeTable {
     /// the LCE derivation of §4.1: "we check if it is an entity node or any
     /// of its ancestors is an entity node".
     pub fn lowest_entity_ancestor_or_self(&self, id: &DeweyId) -> Option<DeweyId> {
-        if self.is_entity(id).is_some() {
-            return Some(id.clone());
-        }
-        self.ancestors_entity(id)
+        let key = id.key();
+        self.lowest_entity_depth(key).map(|depth| DeweyId::from_key(&key[..depth + 1]))
     }
 
-    /// Nearest strict-ancestor entity of `id`.
-    pub fn ancestors_entity(&self, id: &DeweyId) -> Option<DeweyId> {
-        id.ancestors().find(|anc| self.is_entity(anc).is_some())
+    /// Depth of the nearest entity ancestor-or-self of the node with Dewey
+    /// key `key`, walking the key's prefixes from the node upward. The
+    /// entity's own key is `&key[..depth + 1]`.
+    pub fn lowest_entity_depth(&self, key: &[u32]) -> Option<usize> {
+        (1..=key.len())
+            .rev()
+            .find(|&len| self.get_key(&key[..len]).is_some_and(|m| m.flags.is_entity()))
+            .map(|len| len - 1)
     }
 
     /// Number of recorded nodes.
@@ -212,6 +222,11 @@ mod tests {
         assert_eq!(t.lowest_entity_ancestor_or_self(&d(&[0, 1, 5, 2])), Some(d(&[0])));
         // No entity on the path → None.
         assert_eq!(t.lowest_entity_ancestor_or_self(&d(&[3, 0])), None);
+        // The depth form agrees, on the key slice.
+        assert_eq!(t.lowest_entity_depth(d(&[0, 1, 5, 2]).key()), Some(1));
+        assert_eq!(t.lowest_entity_depth(d(&[0]).key()), Some(1));
+        assert_eq!(t.lowest_entity_depth(d(&[3, 0]).key()), None);
+        assert_eq!(t.get_key(d(&[0, 1]).key()), t.get(&d(&[0, 1])));
     }
 
     #[test]

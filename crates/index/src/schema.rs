@@ -85,9 +85,9 @@ impl SchemaSummary {
             // Reconstruct the label path root→node; every prefix of a
             // recorded node is itself recorded.
             let mut ok = true;
-            for depth in 0..=dewey.depth() {
-                let prefix = dewey.ancestor_at_depth(depth);
-                match table.get(&prefix) {
+            let key = dewey.key();
+            for len in 1..=key.len() {
+                match table.get_key(&key[..len]) {
                     Some(m) => path_buf.push(m.label),
                     None => {
                         ok = false;

@@ -182,9 +182,10 @@ fn sharded_explain_carries_scatter_timing_cost_and_top_entry() {
 /// The ISSUE's acceptance bar for the persistent shard executor: once the
 /// resident index is warm, a sharded `/search` issues **zero** thread
 /// spawns on the request path — scatter is a channel send into per-shard
-/// lanes that already exist. `gks_exec` counts every pool thread it ever
-/// spawns, so a flat counter across a burst of cache-missing requests
-/// proves the fan-out is spawn-free.
+/// lanes that already exist. The index's executor counts every lane thread
+/// it ever spawns, so a flat counter across a burst of cache-missing
+/// requests proves the fan-out is spawn-free. The count is the executor's
+/// own, so threads other tests in this binary spawn do not disturb it.
 #[test]
 fn sharded_search_spawns_no_threads_on_the_request_path() {
     let corpus = {
@@ -197,7 +198,9 @@ fn sharded_search_spawns_no_threads_on_the_request_path() {
     let split = sharded_state(&corpus, 4);
     // Warm-up: the first request may lazily grow executor lanes.
     assert_eq!(get(&split, "/search?q=alpha&s=1").status, 200);
-    let spawned_before = gks_exec::threads_spawned_total();
+    let executor = split.catalog().get("default").unwrap().executor();
+    let spawned_before = executor.threads_spawned();
+    assert!(spawned_before >= 4, "one lane per shard exists before the burst");
     for i in 0..20 {
         // Distinct queries dodge the result cache, forcing a real scatter.
         let response = get(&split, &format!("/search?q=alpha+gamma+doc{i}&s=1"));
@@ -205,7 +208,7 @@ fn sharded_search_spawns_no_threads_on_the_request_path() {
         assert_eq!(header(&response, "x-gks-shards"), Some("4"));
     }
     assert_eq!(
-        gks_exec::threads_spawned_total(),
+        executor.threads_spawned(),
         spawned_before,
         "warm sharded scatter must not spawn threads per request"
     );
