@@ -51,15 +51,11 @@ impl ElemRank {
         let base = (1.0 - params.forward - params.backward) / n as f64;
 
         // Node list + parent pointers (as indices) for fast iteration.
-        let nodes: Vec<&DeweyId> = table.iter().map(|(d, _)| d).collect();
-        let pos: FastMap<&DeweyId, usize> =
-            nodes.iter().enumerate().map(|(i, d)| (*d, i)).collect();
+        let (nodes, child_count): (Vec<DeweyId>, Vec<f64>) =
+            table.iter().map(|(d, m)| (d, f64::from(m.child_count.max(1)))).unzip();
+        let pos: FastMap<&DeweyId, usize> = nodes.iter().enumerate().map(|(i, d)| (d, i)).collect();
         let parent: Vec<Option<usize>> =
             nodes.iter().map(|d| d.parent().and_then(|p| pos.get(&&p).copied())).collect();
-        let child_count: Vec<f64> = nodes
-            .iter()
-            .map(|d| f64::from(table.child_count(d).unwrap_or(1).max(1)))
-            .collect();
 
         let mut score = vec![1.0 / n as f64; nodes.len()];
         let mut next = vec![0.0f64; nodes.len()];
@@ -75,8 +71,7 @@ impl ElemRank {
             }
             std::mem::swap(&mut score, &mut next);
         }
-        let scores =
-            nodes.into_iter().cloned().zip(score.iter().copied()).collect::<FastMap<_, _>>();
+        let scores = nodes.into_iter().zip(score.iter().copied()).collect::<FastMap<_, _>>();
         ElemRank { scores }
     }
 
@@ -150,12 +145,12 @@ mod tests {
         let ix = index_of("<r><a><w>x</w><w>y</w></a><b><w>z</w></b></r>");
         let er = ElemRank::compute(&ix, ElemRankParams::default());
         assert_eq!(er.len(), ix.node_table().len());
-        let total: f64 = ix.node_table().iter().map(|(dw, _)| er.score(dw)).sum();
+        let total: f64 = ix.node_table().iter().map(|(dw, _)| er.score(&dw)).sum();
         // The walk leaks a little mass at the root/leaf boundaries; it must
         // stay in the same ballpark as a distribution.
         assert!(total > 0.3 && total < 1.5, "total mass {total}");
         for (dw, _) in ix.node_table().iter() {
-            assert!(er.score(dw) > 0.0, "{dw} has no score");
+            assert!(er.score(&dw) > 0.0, "{dw} has no score");
         }
     }
 

@@ -136,12 +136,12 @@ impl Engine {
     pub fn node_path(&self, node: &DeweyId) -> Vec<String> {
         let table = self.index.node_table();
         let key = node.key();
-        (1..=key.len())
-            .map(|len| {
-                let label = table.get_key(&key[..len]).map(|m| table.labels().name(m.label));
-                label.unwrap_or("?").to_string()
-            })
-            .collect()
+        let mut path: Vec<String> = table
+            .walk(key)
+            .map(|n| table.labels().name(table.meta_at(n).label).to_string())
+            .collect();
+        path.resize(key.len(), "?".to_string());
+        path
     }
 
     /// A short rendering of a hit: node description, Dewey id, matched

@@ -23,11 +23,13 @@
 //!
 //! Everything an entry needs from the node table lives on its root path, and
 //! consecutive `SL` entries are pre-order neighbours that share most of that
-//! path. The sweep therefore keeps two per-depth arrays for the current
-//! entry — the reciprocal child-count products and the depth of the lowest
-//! entity ancestor-or-self — and refreshes them only below the key prefix
-//! the entry shares with the previous one: one node-table lookup (on a key
-//! sub-slice, no id built) per new path step, and no per-entry allocation.
+//! path. The sweep therefore keeps three per-depth arrays for the current
+//! entry — the node-table index of each path node, the reciprocal
+//! child-count products and the depth of the lowest entity ancestor-or-self
+//! — and refreshes them only below the key prefix the entry shares with the
+//! previous one. Each new path step is one child-by-ordinal read from its
+//! parent's node index (no hashing, no key compare), and nothing is
+//! allocated per entry.
 
 use gks_dewey::{common_key_len, DeweyId};
 use gks_index::GksIndex;
@@ -94,12 +96,14 @@ pub fn sweep_counted(
     let mut next_node = 0usize;
     let mut advances = 0u64;
 
-    // Root-path state of the previous entry, whose key is `path`:
+    // Root-path state of the previous entry, whose key is `path`: at[t] is
+    // the node index of the prefix of depth t (None once a step is absent);
     // prods[t] = Π_{u<t} 1/children(prefix of depth u), so the product from
     // a candidate at depth a down to the entry's parent is
     // prods[dE]/prods[a]; lea[t] is the depth of the lowest entity
     // ancestor-or-self of the prefix of depth t.
     let mut path: Vec<u32> = Vec::new();
+    let mut at: Vec<Option<u32>> = Vec::new();
     let mut prods: Vec<f64> = vec![1.0];
     let mut lea: Vec<Option<usize>> = Vec::new();
 
@@ -130,10 +134,16 @@ pub fn sweep_counted(
         let keep = common_key_len(&path, key);
         path.truncate(keep);
         path.extend_from_slice(&key[keep..]);
+        at.truncate(keep);
         lea.truncate(keep);
         prods.truncate(keep + 1);
         for t in keep..key.len() {
-            let meta = table.get_key(&key[..t + 1]);
+            let node = match t {
+                0 => table.root(key[0]),
+                _ => at[t - 1].and_then(|parent| table.child(parent, key[t])),
+            };
+            at.push(node);
+            let meta = node.map(|n| table.meta_at(n));
             let inherited = t.checked_sub(1).and_then(|parent| lea[parent]);
             lea.push(if meta.is_some_and(|m| m.flags.is_entity()) {
                 Some(t)

@@ -74,17 +74,23 @@ pub fn lcp_candidates(
 /// Promotes an attribute-node candidate `&key[..len]` to its parent
 /// (Def 2.1.1), returning the promoted key length. Keywords matching inside
 /// one attribute value have the attribute's parent as their lowest
-/// meaningful ancestor.
-fn promoted_len(index: &GksIndex, key: &[u32], mut len: usize) -> usize {
-    while len > 1
-        && index
-            .node_table()
-            .get_key(&key[..len])
-            .is_some_and(|meta| meta.flags.is_attribute())
-    {
-        len -= 1;
+/// meaningful ancestor. One downward walk finds the deepest prefix that is
+/// not an attribute node; an unrecorded candidate is kept as it is.
+fn promoted_len(index: &GksIndex, key: &[u32], len: usize) -> usize {
+    let table = index.node_table();
+    let mut walked = 0;
+    let mut kept = 1;
+    for node in table.walk(&key[..len]) {
+        walked += 1;
+        if !table.meta_at(node).flags.is_attribute() {
+            kept = walked;
+        }
     }
-    len
+    if walked < len {
+        len
+    } else {
+        kept
+    }
 }
 
 #[cfg(test)]

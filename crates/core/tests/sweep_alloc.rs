@@ -1,13 +1,14 @@
 //! The statistics sweep allocates per candidate and per tree level, never
 //! per `SL` entry: growing `|SL|` four-fold over the same candidate set
-//! must not change the allocation count.
+//! must not change the allocation count. Node-table lookups by key slice
+//! allocate nothing at all.
 //!
-//! A counting global allocator is process-wide, so this test lives alone in
-//! its own binary, and only allocations made by the measuring thread count.
+//! A counting global allocator is process-wide, so these tests live alone
+//! in their own binary. Each thread keeps its own count, so tests measuring
+//! on parallel threads do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use gks_core::merge::merge_posting_lists;
 use gks_core::sweep::sweep_counted;
@@ -16,15 +17,14 @@ use gks_index::{Corpus, GksIndex, IndexOptions};
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note_allocation() {
     if COUNTING.with(Cell::get) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -54,23 +54,51 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations (including reallocations) made by `f` on this thread.
 fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
-#[test]
-fn sweep_allocations_do_not_grow_with_sl() {
-    // 400 records, each with two keyword leaves at the same depth.
+/// 400 records, each with two keyword leaves (`ka`, `kb`) at the same
+/// depth.
+fn records_index() -> GksIndex {
     let mut xml = String::from("<r>");
     for _ in 0..400 {
         xml.push_str("<rec><w>ka</w><w>kb</w></rec>");
     }
     xml.push_str("</r>");
     let corpus = Corpus::from_named_strs([("t", xml)]).unwrap();
-    let ix = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
+    GksIndex::build(&corpus, IndexOptions::default()).unwrap()
+}
+
+#[test]
+fn node_table_lookups_do_not_allocate() {
+    let ix = records_index();
+    let table = ix.node_table();
+    let keys: Vec<&[u32]> = ix.postings("ka").iter().map(DeweyId::key).collect();
+    let missing = [0, 401, 0];
+    let (found, allocs) = allocations_of(|| {
+        let mut found = 0u32;
+        for i in 0..10_000 {
+            let key = if i % 10 == 9 {
+                &missing[..]
+            } else {
+                keys[i % keys.len()]
+            };
+            found += u32::from(table.get_key(key).is_some());
+            std::hint::black_box(table.lowest_entity_depth(key));
+        }
+        found
+    });
+    assert_eq!(found, 9_000, "every posting key resolves, the missing one never does");
+    assert_eq!(allocs, 0, "10 000 key lookups allocated {allocs} times");
+}
+
+#[test]
+fn sweep_allocations_do_not_grow_with_sl() {
+    let ix = records_index();
     let (ka, kb) = (ix.postings("ka"), ix.postings("kb"));
     assert_eq!((ka.len(), kb.len()), (400, 400));
 

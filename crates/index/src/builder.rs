@@ -41,9 +41,15 @@ pub struct GksIndex {
     open_millis: u64,
 }
 
+/// One document's node rows, indexed by pre-order position: a slot is
+/// reserved when an element opens and filled when its parent closes.
+type DocRows = Vec<Option<(DeweyId, NodeMeta)>>;
+
 /// Everything a closed element hands to its parent.
 struct ChildInfo {
     dewey: DeweyId,
+    /// Pre-order position in the document's [`DocRows`].
+    row: usize,
     label: u32,
     child_count: u32,
     text_only: bool,
@@ -63,6 +69,7 @@ struct ChildInfo {
 /// One open element during the streaming pass.
 struct OpenFrame {
     dewey: DeweyId,
+    row: usize,
     label: u32,
     next_ordinal: u32,
     has_text: bool,
@@ -137,7 +144,7 @@ impl GksIndex {
             return Self::build(corpus, options);
         };
         for part in iter {
-            ix.merge(part);
+            ix.merge(part)?;
         }
         ix.finish(start);
         Ok(ix)
@@ -207,6 +214,7 @@ impl GksIndex {
         let mut stack: Vec<OpenFrame> = Vec::new();
         let mut scratch: FastMap<u32, u32> = FastMap::default();
         let mut terms_buf: Vec<String> = Vec::new();
+        let mut rows: DocRows = Vec::new();
 
         loop {
             let event = reader
@@ -235,8 +243,10 @@ impl GksIndex {
                             inv.push(tid, dewey.clone());
                         }
                     }
+                    rows.push(None);
                     let mut frame = OpenFrame {
                         dewey,
+                        row: rows.len() - 1,
                         label,
                         next_ordinal: 0,
                         has_text: false,
@@ -245,7 +255,12 @@ impl GksIndex {
                     };
                     if self.options.xml_attributes_as_elements {
                         for attr in &attributes {
-                            self.push_synthetic_attr_child(&mut frame, attr.name, &attr.value);
+                            self.push_synthetic_attr_child(
+                                &mut frame,
+                                &mut rows,
+                                attr.name,
+                                &attr.value,
+                            );
                         }
                     }
                     stack.push(frame);
@@ -276,22 +291,36 @@ impl GksIndex {
                     let frame = stack
                         .pop()
                         .ok_or(IndexError::Invariant("end event with no open element"))?;
-                    let info = self.close_frame(frame, &mut scratch);
+                    let info = self.close_frame(frame, &mut rows, &mut scratch);
                     match stack.last_mut() {
                         Some(parent) => parent.children.push(info),
-                        None => self.finalize_root(info),
+                        None => self.finalize_root(info, &mut rows),
                     }
                 }
                 Event::Comment(_) | Event::Pi(_) | Event::Declaration(_) | Event::Doctype(_) => {}
             }
         }
-        Ok(())
+        let rows: Vec<(DeweyId, NodeMeta)> = rows
+            .into_iter()
+            .collect::<Option<_>>()
+            .ok_or(IndexError::Invariant("an opened element was never recorded"))?;
+        self.node_table.extend_sorted(
+            doc_id.0.saturating_add(1),
+            rows.iter().map(|(dewey, meta)| (dewey.key(), *meta)),
+        )
     }
 
     /// Materializes an XML attribute `k="v"` as a text-only child element.
-    fn push_synthetic_attr_child(&mut self, frame: &mut OpenFrame, attr_name: &str, value: &str) {
+    fn push_synthetic_attr_child(
+        &mut self,
+        frame: &mut OpenFrame,
+        rows: &mut DocRows,
+        attr_name: &str,
+        value: &str,
+    ) {
         let dewey = frame.dewey.child(frame.next_ordinal);
         frame.next_ordinal += 1;
+        rows.push(None);
         let label = self.node_table.labels_mut().intern(attr_name);
         if self.options.index_element_names {
             let local = attr_name.rsplit(':').next().unwrap_or(attr_name);
@@ -311,6 +340,7 @@ impl GksIndex {
         self.stats.max_depth = self.stats.max_depth.max(dewey.depth() as u32);
         frame.children.push(ChildInfo {
             dewey,
+            row: rows.len() - 1,
             label,
             child_count: 1,
             text_only: true,
@@ -331,7 +361,12 @@ impl GksIndex {
     /// Runs categorization for a closing element: finalizes its children,
     /// records them in the node table, assembles qualifying attribute
     /// entries, and produces the element's own [`ChildInfo`].
-    fn close_frame(&mut self, frame: OpenFrame, scratch: &mut FastMap<u32, u32>) -> ChildInfo {
+    fn close_frame(
+        &mut self,
+        frame: OpenFrame,
+        rows: &mut DocRows,
+        scratch: &mut FastMap<u32, u32>,
+    ) -> ChildInfo {
         let summaries: Vec<ChildSummary> =
             frame.children.iter().map(|c| c.summary.clone()).collect();
         let outcome = close_element(&summaries, scratch);
@@ -376,10 +411,8 @@ impl GksIndex {
         for (child, &repeating) in frame.children.into_iter().zip(&outcome.child_repeating) {
             let mut flags = self_flags(child.text_only, child.is_entity, child.has_attr_child);
             finalize_child_flags(&mut flags, repeating);
-            self.record_node(
-                child.dewey,
-                NodeMeta { child_count: child.child_count, flags, label: child.label },
-            );
+            let meta = NodeMeta { child_count: child.child_count, flags, label: child.label };
+            self.record_node(rows, child.row, child.dewey, meta);
         }
 
         if outcome.is_entity {
@@ -397,6 +430,7 @@ impl GksIndex {
                 has_rep_inside: outcome.summary_has_rep_inside,
             },
             dewey: frame.dewey,
+            row: frame.row,
             label: frame.label,
             child_count,
             text_only,
@@ -409,39 +443,26 @@ impl GksIndex {
     }
 
     /// The document root has no parent to finalize it; it is never repeating.
-    fn finalize_root(&mut self, info: ChildInfo) {
+    fn finalize_root(&mut self, info: ChildInfo, rows: &mut DocRows) {
         let mut flags = self_flags(info.text_only, info.is_entity, info.has_attr_child);
         finalize_child_flags(&mut flags, false);
-        self.record_node(
-            info.dewey,
-            NodeMeta { child_count: info.child_count, flags, label: info.label },
-        );
+        let meta = NodeMeta { child_count: info.child_count, flags, label: info.label };
+        self.record_node(rows, info.row, info.dewey, meta);
     }
 
-    fn record_node(&mut self, dewey: DeweyId, meta: NodeMeta) {
+    fn record_node(&mut self, rows: &mut DocRows, row: usize, dewey: DeweyId, meta: NodeMeta) {
         self.stats.total_nodes += 1;
         let primary = meta.flags.primary();
         self.stats.census.add(primary);
         let label_name = self.node_table.labels().name(meta.label).to_string();
         self.stats.per_label.entry(label_name).or_default().add(primary);
-        self.node_table.insert(dewey, meta);
+        rows[row] = Some((dewey, meta));
     }
 
     /// Merges another index (built over disjoint, higher document ids) into
     /// this one. Label and term ids are remapped.
-    fn merge(&mut self, other: GksIndex) {
-        // Remap labels.
-        let label_map: Vec<u32> = other
-            .node_table
-            .labels()
-            .names()
-            .iter()
-            .map(|name| self.node_table.labels_mut().intern(name))
-            .collect();
-        for (dewey, meta) in other.node_table.iter() {
-            self.node_table
-                .insert(dewey.clone(), NodeMeta { label: label_map[meta.label as usize], ..*meta });
-        }
+    fn merge(&mut self, other: GksIndex) -> Result<(), IndexError> {
+        let label_map = self.node_table.append(other.node_table)?;
         for (entity, entries) in other.attrs.iter() {
             let remapped: Vec<AttrEntry> = entries
                 .iter()
@@ -462,6 +483,7 @@ impl GksIndex {
         }
         self.stats.merge(&other.stats);
         self.doc_names.extend(other.doc_names);
+        Ok(())
     }
 
     // ----- accessors used by the search engine -----
@@ -569,11 +591,6 @@ impl GksIndex {
     #[cfg(test)]
     pub(crate) fn attrs_mut(&mut self) -> &mut AttrStore {
         &mut self.attrs
-    }
-
-    #[cfg(test)]
-    pub(crate) fn stats_mut(&mut self) -> &mut IndexStats {
-        &mut self.stats
     }
 
     /// Crate-internal constructor for the persistence layer.
@@ -843,7 +860,7 @@ mod tests {
         }
         assert_eq!(seq.node_table().len(), par.node_table().len());
         for (dewey, meta) in seq.node_table().iter() {
-            let other = par.node_table().get(dewey).expect("node present");
+            let other = par.node_table().get(&dewey).expect("node present");
             assert_eq!(other.child_count, meta.child_count);
             assert_eq!(other.flags, meta.flags);
             assert_eq!(

@@ -3,12 +3,14 @@
 //! GKS correctness rests on structural invariants the paper assumes but
 //! never re-checks at runtime: posting lists are document-ordered by Dewey
 //! id (§2.4 — the stack-based sweep silently produces wrong SLCA/ELCA
-//! answers on out-of-order postings), the Dewey prefix algebra of §2.1
-//! implies every non-root node's parent exists, and the AN/RN/EN/CN census
-//! of Table 5 must agree with the node table's category flags. The doctor
-//! validates all of them plus the attribute store, returning a typed
-//! [`Violation`] report instead of panicking, so it is safe to run against
-//! untrusted persisted indexes (`gks doctor <index.gksix>`).
+//! answers on out-of-order postings), and the AN/RN/EN/CN census of Table 5
+//! must agree with the node table's category flags. The doctor validates
+//! both plus the attribute store, returning a typed [`Violation`] report
+//! instead of panicking, so it is safe to run against untrusted persisted
+//! indexes (`gks doctor <index.gksix>`). The §2.1 prefix algebra (every
+//! non-root node's parent exists) needs no check here: the positional node
+//! table cannot represent an orphan, and loading rejects a node run that
+//! would need one.
 //!
 //! The builder re-runs these checks under `#[cfg(debug_assertions)]` after
 //! every build, so debug test runs exercise them continuously.
@@ -37,12 +39,6 @@ pub enum Violation {
         /// The term whose list contains the dangling posting.
         term: String,
         /// The unresolvable Dewey id.
-        node: DeweyId,
-    },
-    /// A non-root node's parent is missing from the node table, breaking
-    /// the §2.1 prefix algebra (ancestor walks, child-count lookups).
-    OrphanNode {
-        /// The node whose parent is absent.
         node: DeweyId,
     },
     /// The node table holds a different number of nodes than the build
@@ -114,9 +110,6 @@ impl fmt::Display for Violation {
             Violation::PostingUnknownNode { term, node } => {
                 write!(f, "posting list for {term:?} references unknown node {node}")
             }
-            Violation::OrphanNode { node } => {
-                write!(f, "node {node} has no parent entry in the node table")
-            }
             Violation::NodeCountMismatch { in_table, in_stats } => {
                 write!(f, "node table holds {in_table} node(s) but statistics record {in_stats}")
             }
@@ -151,7 +144,6 @@ impl fmt::Display for Violation {
 pub fn check(index: &GksIndex) -> Vec<Violation> {
     let mut violations = Vec::new();
     check_postings(index, &mut violations);
-    check_parents(index, &mut violations);
     check_census(index, &mut violations);
     check_attrs(index, &mut violations);
     // Hash-map iteration order is unspecified; sort so reports (and the
@@ -187,18 +179,6 @@ fn check_postings(index: &GksIndex, out: &mut Vec<Violation>) {
     // any block-level corruption it surfaced.
     if let Some(detail) = index.inverted().corrupt() {
         out.push(Violation::PostingsCorrupt { detail: detail.to_string() });
-    }
-}
-
-/// Every non-root node's parent must itself be recorded: ancestor walks
-/// (LCE derivation, §4.1) and potential-flow child-count lookups (§5) both
-/// assume the §2.1 prefix algebra closes over the table.
-fn check_parents(index: &GksIndex, out: &mut Vec<Violation>) {
-    for (id, _) in index.node_table().iter() {
-        let Some(parent) = id.parent() else { continue };
-        if index.node_table().get(&parent).is_none() {
-            out.push(Violation::OrphanNode { node: id.clone() });
-        }
     }
 }
 
@@ -264,7 +244,6 @@ impl GksIndex {
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
-    use crate::node_table::NodeMeta;
     use crate::options::IndexOptions;
     use gks_dewey::{DeweyId, DocId};
 
@@ -302,40 +281,14 @@ mod tests {
     }
 
     #[test]
-    fn detects_orphan_dewey_id() {
-        let mut ix = build();
-        // Insert a deep node whose parent chain does not exist.
-        let stray = DeweyId::new(DocId(0), vec![9, 9, 9]);
-        let meta =
-            NodeMeta { child_count: 1, flags: crate::categorize::NodeFlags::empty(), label: 0 };
-        ix.node_table_mut().insert(stray.clone(), meta);
-        // Keep total_nodes consistent so only the orphan fires, not the
-        // node-count check.
-        ix.stats_mut().total_nodes += 1;
-        ix.stats_mut().census.add(meta.flags.primary());
-        let violations = ix.doctor();
-        assert!(
-            violations.iter().any(|v| matches!(
-                v,
-                Violation::OrphanNode { node } if *node == stray
-            )),
-            "{violations:?}"
-        );
-    }
-
-    #[test]
     fn detects_miscategorized_node() {
         let mut ix = build();
         // Flip one entity node's flags to empty (connecting): the recount
         // diverges from the recorded census in two categories.
-        let (id, meta) = ix
-            .node_table()
-            .iter()
-            .find(|(_, m)| m.flags.is_entity() && m.flags.primary() == NodeCategory::Entity)
-            .map(|(id, m)| (id.clone(), *m))
+        let node = (0..ix.node_table().len() as u32)
+            .find(|&n| ix.node_table().meta_at(n).flags.primary() == NodeCategory::Entity)
             .expect("built index has an entity node");
-        ix.node_table_mut()
-            .insert(id, NodeMeta { flags: crate::categorize::NodeFlags::empty(), ..meta });
+        ix.node_table_mut().meta_mut(node).flags = crate::categorize::NodeFlags::empty();
         let violations = ix.doctor();
         assert!(
             violations.iter().any(|v| matches!(

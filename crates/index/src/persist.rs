@@ -214,12 +214,10 @@ fn write_labels(out: &mut BytesMut, ix: &GksIndex) {
 }
 
 fn write_node_table(out: &mut BytesMut, ix: &GksIndex) {
-    // Sorted by Dewey id so the run codec compresses.
-    let mut nodes: Vec<(&DeweyId, &NodeMeta)> = ix.node_table().iter().collect();
-    nodes.sort_by(|a, b| a.0.cmp(b.0));
-    let ids: Vec<DeweyId> = nodes.iter().map(|(d, _)| (*d).clone()).collect();
+    // The table iterates in document order, which the run codec needs.
+    let (ids, metas): (Vec<DeweyId>, Vec<&NodeMeta>) = ix.node_table().iter().unzip();
     encode_sorted_run(&ids, out);
-    for (_, meta) in &nodes {
+    for meta in metas {
         write_varint(out, u64::from(meta.child_count));
         out.put_u8(meta.flags.bits());
         write_varint(out, u64::from(meta.label));
@@ -238,21 +236,36 @@ fn read_labels(input: &mut &[u8]) -> Result<NodeTable, IndexError> {
     Ok(node_table)
 }
 
-/// Reads the node rows (Dewey run + per-node metadata) into `table`.
-fn read_nodes(input: &mut &[u8], table: &mut NodeTable) -> Result<(), IndexError> {
+/// Reads the node rows (Dewey run + per-node metadata) into `table`, which
+/// must cover documents `0..doc_count` exactly. Any run that is not a
+/// closed pre-order forest fails here, at open, with
+/// [`IndexError::Corrupt`].
+fn read_nodes(
+    input: &mut &[u8],
+    table: &mut NodeTable,
+    doc_count: usize,
+) -> Result<(), IndexError> {
     let label_count = table.labels().names().len();
     let ids = decode_sorted_run(input)?;
-    for id in ids {
-        let child_count = read_varint(input)? as u32;
+    let mut metas = Vec::with_capacity(ids.len());
+    for _ in &ids {
+        let child_count = u32::try_from(read_varint(input)?)
+            .map_err(|_| IndexError::Corrupt("node child count out of range".into()))?;
         if !input.has_remaining() {
             return Err(IndexError::Corrupt("truncated node meta".into()));
         }
         let flags = NodeFlags::from_bits(input.get_u8());
-        let label = read_varint(input)? as u32;
-        if label as usize >= label_count {
+        let label = read_varint(input)?;
+        if label >= label_count as u64 {
             return Err(IndexError::Corrupt(format!("label id {label} out of range")));
         }
-        table.insert(id, NodeMeta { child_count, flags, label });
+        metas.push(NodeMeta { child_count, flags, label: label as u32 });
+    }
+    let docs = u32::try_from(doc_count)
+        .map_err(|_| IndexError::Corrupt("document count out of range".into()))?;
+    table.extend_sorted(docs, ids.iter().map(DeweyId::key).zip(metas))?;
+    if !table.roots_exactly(doc_count) {
+        return Err(IndexError::Corrupt("node table: a document has no root".into()));
     }
     Ok(())
 }
@@ -456,7 +469,7 @@ impl GksIndex {
         let options = read_options(input)?;
         let doc_names = read_doc_names(input)?;
         let mut node_table = read_labels(input)?;
-        read_nodes(input, &mut node_table)?;
+        read_nodes(input, &mut node_table, doc_names.len())?;
 
         let term_count = read_varint(input)? as usize;
         let mut inverted = InvertedIndex::new();
@@ -528,7 +541,11 @@ impl GksIndex {
         let section = |from: u64, to: u64| &bytes[from as usize..to as usize];
         let doc_names = read_doc_names(&mut section(doc_off, lab_off))?;
         let mut node_table = read_labels(&mut section(lab_off, node_off))?;
-        read_nodes(&mut section(node_off, attr_off), &mut node_table)?;
+        let mut nodes = section(node_off, attr_off);
+        read_nodes(&mut nodes, &mut node_table, doc_names.len())?;
+        if !nodes.is_empty() {
+            return Err(IndexError::Corrupt("trailing bytes in the node section".into()));
+        }
         let attrs = read_attrs(&mut section(attr_off, stat_off))?;
         let stats = read_stats(&mut section(stat_off, dict_off))?;
 
@@ -778,6 +795,7 @@ fn section_sizes_v2(bytes: &[u8]) -> Result<SectionSizes, IndexError> {
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
+    use proptest::prelude::*;
 
     const XML: &str = r#"<dblp>
         <article><title>System R</title><author>Jim Gray</author><author>Kapali Eswaran</author></article>
@@ -803,7 +821,7 @@ mod tests {
         }
         assert_eq!(loaded.node_table().len(), ix.node_table().len());
         for (dewey, meta) in ix.node_table().iter() {
-            let other = loaded.node_table().get(dewey).unwrap();
+            let other = loaded.node_table().get(&dewey).unwrap();
             assert_eq!(other.child_count, meta.child_count);
             assert_eq!(other.flags, meta.flags);
             assert_eq!(
@@ -951,6 +969,163 @@ mod tests {
 
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&path2).ok();
+    }
+
+    /// A node section holding `keys` in the given order, every row with the
+    /// same metadata.
+    fn node_section(keys: &[&[u32]]) -> Vec<u8> {
+        let ids: Vec<DeweyId> = keys.iter().map(|key| DeweyId::from_key(key)).collect();
+        let mut out = BytesMut::new();
+        encode_sorted_run(&ids, &mut out);
+        for _ in &ids {
+            write_varint(&mut out, 1);
+            out.put_u8(0);
+            write_varint(&mut out, 0);
+        }
+        out.as_ref().to_vec()
+    }
+
+    /// The v3 file `bytes` with its node section replaced by `nodes`; the
+    /// later section offsets, the file length and the footer checksum are
+    /// patched to match, so only the node section differs.
+    fn with_node_section(bytes: &[u8], nodes: &[u8]) -> Vec<u8> {
+        let footer_off = bytes.len() - FOOTER_LEN;
+        let mut cur = &bytes[footer_off..];
+        let mut fields = [0u64; 10];
+        for f in &mut fields {
+            *f = cur.get_u64();
+        }
+        let (node_off, attr_off) = (fields[2] as usize, fields[3] as usize);
+        let mut out = bytes[..node_off].to_vec();
+        out.extend_from_slice(nodes);
+        out.extend_from_slice(&bytes[attr_off..footer_off]);
+        for f in &mut fields[3..8] {
+            *f = *f + nodes.len() as u64 - (attr_off - node_off) as u64;
+        }
+        fields[9] = (out.len() + FOOTER_LEN) as u64;
+        let mut footer = BytesMut::new();
+        for f in fields {
+            footer.put_u64(f);
+        }
+        let checksum = fnv64(&[&out[..fields[0] as usize], footer.as_ref()]);
+        footer.put_u64(checksum);
+        footer.put_slice(TAIL_MAGIC);
+        out.extend_from_slice(footer.as_ref());
+        out
+    }
+
+    /// The node section of a v3 file.
+    fn node_section_of(bytes: &[u8]) -> &[u8] {
+        let mut cur = &bytes[bytes.len() - FOOTER_LEN + 16..];
+        let (node_off, attr_off) = (cur.get_u64() as usize, cur.get_u64() as usize);
+        &bytes[node_off..attr_off]
+    }
+
+    fn load_bytes(path: &Path, bytes: &[u8]) -> Result<GksIndex, IndexError> {
+        std::fs::write(path, bytes).unwrap();
+        GksIndex::load(path)
+    }
+
+    #[test]
+    fn malformed_node_runs_fail_at_open() {
+        let cases: [(&str, usize, &[&[u32]]); 6] = [
+            ("unsorted", 1, &[&[0], &[0, 0], &[0, 1], &[0, 0]]),
+            ("duplicate", 1, &[&[0], &[0, 0], &[0, 0]]),
+            ("orphan", 1, &[&[0], &[0, 0], &[0, 0, 2, 0]]),
+            ("ordinal gap", 1, &[&[0], &[0, 1]]),
+            ("without a document root", 1, &[&[0, 0]]),
+            ("a document has no root", 2, &[&[0], &[0, 0]]),
+        ];
+        for (what, docs, keys) in cases {
+            let mut table = NodeTable::new();
+            table.labels_mut().intern("x");
+            let section = node_section(keys);
+            let err = read_nodes(&mut section.as_slice(), &mut table, docs).unwrap_err();
+            assert!(matches!(&err, IndexError::Corrupt(m) if m.contains(what)), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn orphan_node_and_trailing_bytes_fail_at_open() {
+        let ix = sample_index();
+        let good = ix.to_bytes_v3().unwrap().to_vec();
+        let dir = std::env::temp_dir().join(format!("gks-persist-orphan-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("orphan.gksix");
+
+        // Splicing the file's own node section back in changes nothing.
+        let same = with_node_section(&good, node_section_of(&good));
+        assert_eq!(same, good);
+
+        // A deep node whose parent chain does not exist, placed last so the
+        // run stays sorted.
+        let (mut ids, mut metas): (Vec<DeweyId>, Vec<NodeMeta>) =
+            ix.node_table().iter().map(|(id, meta)| (id, *meta)).unzip();
+        ids.push(DeweyId::new(gks_dewey::DocId(0), vec![9, 9, 9]));
+        metas.push(metas[0]);
+        let mut section = BytesMut::new();
+        encode_sorted_run(&ids, &mut section);
+        for meta in &metas {
+            write_varint(&mut section, u64::from(meta.child_count));
+            section.put_u8(meta.flags.bits());
+            write_varint(&mut section, u64::from(meta.label));
+        }
+        let err = load_bytes(&path, &with_node_section(&good, section.as_ref())).unwrap_err();
+        assert!(matches!(&err, IndexError::Corrupt(m) if m.contains("orphan")), "{err}");
+
+        // A well-formed run followed by a stray byte.
+        let mut padded = node_section_of(&good).to_vec();
+        padded.push(0);
+        let err = load_bytes(&path, &with_node_section(&good, &padded)).unwrap_err();
+        assert!(matches!(&err, IndexError::Corrupt(m) if m.contains("trailing")), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A bit flip in the node section of a v3 file either fails the
+        /// open with a typed error or loads the original tree: the Dewey
+        /// run is fully validated, and a flip in a row's metadata (child
+        /// count, flags, label — not checksummed) leaves the structure
+        /// alone. Any truncation of the section fails the open.
+        #[test]
+        fn damaged_node_sections_fail_or_keep_the_tree(
+            pick in 0usize..1 << 16,
+            bit in 0u32..8,
+            cut in 0usize..1 << 16,
+        ) {
+            let ix = sample_index();
+            let good = ix.to_bytes_v3().unwrap().to_vec();
+            let section = node_section_of(&good);
+            let dir = std::env::temp_dir()
+                .join(format!("gks-persist-node-flip-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("damaged.gksix");
+            let original: Vec<DeweyId> = ix.node_table().iter().map(|(id, _)| id).collect();
+
+            let mut flipped = section.to_vec();
+            let at = pick % flipped.len();
+            flipped[at] ^= 1 << bit;
+            match load_bytes(&path, &with_node_section(&good, &flipped)) {
+                Err(IndexError::Corrupt(_)) => {}
+                Err(e) => prop_assert!(false, "flip at {at}: untyped failure {e}"),
+                Ok(loaded) => {
+                    let keys: Vec<DeweyId> =
+                        loaded.node_table().iter().map(|(id, _)| id).collect();
+                    prop_assert_eq!(keys, original.clone(), "flip at {} changed the tree", at);
+                }
+            }
+
+            let cut = cut % section.len();
+            let truncated = load_bytes(&path, &with_node_section(&good, &section[..cut]));
+            prop_assert!(
+                matches!(truncated, Err(IndexError::Corrupt(_))),
+                "section cut to {} of {} bytes loaded",
+                cut,
+                section.len()
+            );
+        }
     }
 
     #[test]

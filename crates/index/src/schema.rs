@@ -81,23 +81,10 @@ impl SchemaSummary {
         let mut paths: FastMap<Vec<u32>, PathStats> = FastMap::default();
         let mut path_buf: Vec<u32> = Vec::new();
         for (dewey, meta) in table.iter() {
+            // The label path root→node: every prefix of a recorded node is
+            // itself recorded.
             path_buf.clear();
-            // Reconstruct the label path root→node; every prefix of a
-            // recorded node is itself recorded.
-            let mut ok = true;
-            let key = dewey.key();
-            for len in 1..=key.len() {
-                match table.get_key(&key[..len]) {
-                    Some(m) => path_buf.push(m.label),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                continue;
-            }
+            path_buf.extend(table.walk(dewey.key()).map(|node| table.meta_at(node).label));
             let stats = paths.entry(path_buf.clone()).or_default();
             stats.instances += 1;
             stats.census.add(meta.flags.primary());

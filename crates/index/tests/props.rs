@@ -1,8 +1,11 @@
 //! Property tests of the index builder's structural invariants over random
 //! documents.
 
+use std::collections::BTreeMap;
+
+use gks_datagen::Dataset;
 use gks_dewey::{DeweyId, DocId};
-use gks_index::{Corpus, GksIndex, IndexOptions};
+use gks_index::{Corpus, GksIndex, IndexOptions, NodeMeta, NodeTable};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -198,4 +201,85 @@ proptest! {
             prop_assert!(ix.node_table().get(&root).is_some(), "missing root {i}");
         }
     }
+
+    /// The positional node table answers exactly like a `BTreeMap` keyed by
+    /// Dewey id, built from its own `iter()`, for every recorded node and
+    /// for absent keys around each one; sequential build, parallel build
+    /// and a v3 reload iterate identical rows.
+    #[test]
+    fn node_table_matches_a_sorted_map(docs in arb_datagen_docs()) {
+        let corpus = Corpus::from_named_strs(docs).unwrap();
+        let ix = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
+        let table = ix.node_table();
+        let reference: BTreeMap<DeweyId, NodeMeta> =
+            table.iter().map(|(id, meta)| (id, *meta)).collect();
+        prop_assert_eq!(reference.len(), table.len());
+        let mut element_children: BTreeMap<&[u32], u32> = BTreeMap::new();
+        for id in reference.keys() {
+            if let Some(parent) = id.key().len().checked_sub(1).filter(|&len| len > 0) {
+                *element_children.entry(&id.key()[..parent]).or_default() += 1;
+            }
+        }
+        let agrees = |key: &[u32]| -> Result<(), TestCaseError> {
+            let expected = reference.get(key);
+            prop_assert_eq!(table.get_key(key), expected, "get_key {:?}", key);
+            prop_assert_eq!(table.get(&DeweyId::from_key(key)), expected, "get {:?}", key);
+            let lea = (1..=key.len())
+                .rev()
+                .find(|&len| reference.get(&key[..len]).is_some_and(|m| m.flags.is_entity()))
+                .map(|len| len - 1);
+            prop_assert_eq!(table.lowest_entity_depth(key), lea, "entity depth {:?}", key);
+            Ok(())
+        };
+        let docs = ix.doc_names().len() as u32;
+        agrees(&[docs])?;
+        agrees(&[docs, 0])?;
+        agrees(&[u32::MAX, 0, 0])?;
+        for id in reference.keys() {
+            let key = id.key();
+            agrees(key)?;
+            // One past the last child (below a leaf that is ordinal 0),
+            // and a miss mid-path with steps after it.
+            let past = element_children.get(key).copied().unwrap_or(0);
+            let mut absent = key.to_vec();
+            absent.push(past);
+            agrees(&absent)?;
+            absent.extend([0, 1]);
+            agrees(&absent)?;
+            if key.len() > 2 {
+                let mut detour = key.to_vec();
+                detour[1] = element_children.get(&key[..1]).copied().unwrap_or(0);
+                agrees(&detour)?;
+            }
+        }
+
+        let rows = |t: &NodeTable| -> Vec<(DeweyId, u32, u8, String)> {
+            t.iter()
+                .map(|(id, m)| (id, m.child_count, m.flags.bits(), t.labels().name(m.label).into()))
+                .collect()
+        };
+        let par = GksIndex::build_parallel(&corpus, IndexOptions::default(), 3).unwrap();
+        prop_assert_eq!(rows(par.node_table()), rows(table));
+        let dir = std::env::temp_dir().join(format!("gks-index-props-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("table.gksix");
+        ix.save(&path).unwrap();
+        let loaded = GksIndex::load(&path).unwrap();
+        prop_assert_eq!(rows(loaded.node_table()), rows(table));
+    }
+}
+
+/// One to four small documents drawn from the synthetic paper datasets.
+fn arb_datagen_docs() -> impl Strategy<Value = Vec<(String, String)>> {
+    prop::collection::vec(
+        (prop::sample::select(Dataset::all().to_vec()), 1usize..4, 0u64..1 << 20),
+        1..5,
+    )
+    .prop_map(|picks| {
+        picks
+            .into_iter()
+            .enumerate()
+            .map(|(i, (dataset, scale, seed))| (format!("d{i}"), dataset.generate(scale, seed)))
+            .collect()
+    })
 }
